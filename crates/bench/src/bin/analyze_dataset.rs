@@ -8,6 +8,7 @@
 //! analyze_dataset dataset.json
 //! ```
 
+use sc_bench::Cli;
 use sc_core::DatasetReport;
 use sc_telemetry::Dataset;
 
@@ -15,17 +16,7 @@ const USAGE: &str = "usage: analyze_dataset <dataset.json>
 
 Runs the figure pipeline over a dataset written by export_dataset.";
 
-/// Prints an error plus the usage text and exits with status 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("analyze_dataset: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Prints a runtime (non-usage) error and exits with status 1.
-fn fail(msg: &str) -> ! {
-    eprintln!("analyze_dataset: {msg}");
-    std::process::exit(1);
-}
+const CLI: Cli = Cli { name: "analyze_dataset", usage: USAGE };
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -35,15 +26,15 @@ fn main() {
             std::process::exit(0);
         }
         Some(p) => p.to_string(),
-        None => usage_error("missing dataset path"),
+        None => CLI.usage_error("missing dataset path"),
     };
     if let Some(extra) = args.next() {
-        usage_error(&format!("unexpected argument {extra}"));
+        CLI.usage_error(&format!("unexpected argument {extra}"));
     }
     let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let dataset =
-        Dataset::from_json(&json).unwrap_or_else(|e| fail(&format!("invalid dataset JSON: {e}")));
+        .unwrap_or_else(|e| CLI.fail(&format!("cannot read {path}: {e}")));
+    let dataset = Dataset::from_json(&json)
+        .unwrap_or_else(|e| CLI.fail(&format!("invalid dataset JSON: {e}")));
     eprintln!(
         "loaded {}: {} records, {} analyzed GPU jobs, {} users",
         path,

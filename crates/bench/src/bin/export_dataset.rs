@@ -4,9 +4,14 @@
 //! ```text
 //! export_dataset [--scale F] [--seed N] [--out dataset.json] [--csv FILE]
 //! ```
+//!
+//! The world is the `supercloud` scenario preset with `--scale` and
+//! `--seed` written into it.
 
-use sc_cluster::{SimConfig, Simulation};
-use sc_workload::{Trace, WorkloadSpec};
+use sc_bench::Cli;
+use sc_cluster::Simulation;
+use sc_scenario::Scenario;
+use sc_workload::Trace;
 
 const USAGE: &str = "usage: export_dataset [--scale F] [--seed N] [--out dataset.json] [--csv FILE]
 
@@ -15,41 +20,24 @@ const USAGE: &str = "usage: export_dataset [--scale F] [--seed N] [--out dataset
   --out FILE  JSON output path (default dataset.json)
   --csv FILE  also write the flat CSV form";
 
-/// Prints an error plus the usage text and exits with status 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("export_dataset: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Prints a runtime (non-usage) error and exits with status 1.
-fn fail(msg: &str) -> ! {
-    eprintln!("export_dataset: {msg}");
-    std::process::exit(1);
-}
+const CLI: Cli = Cli { name: "export_dataset", usage: USAGE };
 
 fn main() {
-    let mut scale = 0.05f64;
-    let mut seed = 42u64;
+    let mut sc = Scenario::preset("supercloud").expect("committed preset");
+    sc.scale = 0.05;
     let mut out = "dataset.json".to_string();
     let mut csv: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| usage_error(&format!("missing value for {name}")))
+            it.next().unwrap_or_else(|| CLI.usage_error(&format!("missing value for {name}")))
         };
         match flag.as_str() {
-            "--scale" => {
-                scale = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale needs a number"));
-                if !(scale > 0.0 && scale.is_finite()) {
-                    usage_error("--scale must be a positive finite factor");
-                }
-            }
+            "--scale" => sc.scale = CLI.positive_factor("--scale", &value("--scale")),
             "--seed" => {
-                seed = value("--seed")
+                sc.seed = value("--seed")
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--seed needs an integer"));
+                    .unwrap_or_else(|_| CLI.usage_error("--seed needs an integer"));
             }
             "--out" => out = value("--out"),
             "--csv" => csv = Some(value("--csv")),
@@ -57,27 +45,22 @@ fn main() {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => usage_error(&format!("unknown flag {other}")),
+            other => CLI.usage_error(&format!("unknown flag {other}")),
         }
     }
-    let spec = WorkloadSpec::supercloud().scaled(scale);
-    let trace = Trace::generate(&spec, seed);
-    let sim = Simulation::new(SimConfig {
-        detailed_series_jobs: (2_149.0 * scale) as usize,
-        ..Default::default()
-    });
-    let result = sim.run(&trace);
+    let trace = Trace::generate(&sc.scaled_spec(sc.scale), sc.seed);
+    let result = Simulation::new(sc.sim_config(sc.scale, sc.seed)).run(&trace);
     if let Some(path) = &csv {
         std::fs::write(path, result.dataset.to_csv())
-            .unwrap_or_else(|e| fail(&format!("cannot write CSV {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write CSV {path}: {e}")));
         eprintln!("wrote {path}");
     }
     let json = result
         .dataset
         .to_json()
-        .unwrap_or_else(|e| fail(&format!("cannot serialize dataset: {e}")));
+        .unwrap_or_else(|e| CLI.fail(&format!("cannot serialize dataset: {e}")));
     std::fs::write(&out, &json)
-        .unwrap_or_else(|e| fail(&format!("cannot write dataset {out}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(&format!("cannot write dataset {out}: {e}")));
     eprintln!(
         "wrote {} ({} records, {:.1} MiB)",
         out,

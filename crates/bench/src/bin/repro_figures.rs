@@ -15,24 +15,28 @@
 //!               [--reliability-json FILE]
 //! ```
 //!
-//! With no arguments this runs the full 125-day / 74,820-job Supercloud
-//! reproduction on all available cores and prints the figure series to
-//! stdout; pass `--out` to also write the Markdown comparison,
-//! `--threads 1` for the sequential reference run, and `--bench-json`
-//! for a machine-readable per-stage timing breakdown. The failure
-//! flags enable the fault-injection subsystem: a taxonomy profile
-//! schedules GPU Xid, node-hardware, and transient-infrastructure
+//! Every run is a [`Scenario`]: the `supercloud` preset (the paper's
+//! 125-day / 74,820-job system) unless `--scenario` names another
+//! preset or a TOML file. Each config flag — `--scale`, `--seed`, the
+//! failure flags, `--policy`, `--data-quality`, `--classify`,
+//! `--reliability`, `--growth` — overrides one scenario field, whatever
+//! the flag order; the trace, the simulator configuration and every
+//! optional stage then come from the scenario alone. With no arguments
+//! this runs the full reproduction on all available cores and prints
+//! the figure series to stdout; pass `--out` to also write the Markdown
+//! comparison, `--threads 1` for the sequential reference run, and
+//! `--bench-json` for a machine-readable per-stage timing breakdown.
+//!
+//! The failure flags enable the fault-injection subsystem: a taxonomy
+//! profile schedules GPU Xid, node-hardware, and transient-infrastructure
 //! faults, the scheduler requeues victims with capped backoff, and the
 //! goodput ledger attributes every lost GPU-hour to its cause.
+//! `--failure-profile` and `--mtbf` replace the scenario's `[failures]`
+//! section as a unit; `--mtbf` alone keeps the scenario's profile, or
+//! uses `supercloud` when that profile is `off`.
 //!
-//! `--scenario` replaces the flag-driven pipeline with a declarative
-//! scenario (a committed preset name or a TOML file): cluster shape,
-//! workload, arrival process, failure profile, data-quality profile,
-//! policy arm, seed, and scale all come from the one validated spec,
-//! and any explicit CLI flag still overrides its scenario counterpart.
-//! The `supercloud` preset is the flag default, byte for byte.
 //! `--cross-system` additionally runs a list of scenarios (or `all`
-//! four presets) through the identical pipeline at a common scale and
+//! four presets) through the identical pipeline at the run's scale and
 //! seed and appends the side-by-side comparison.
 //!
 //! `--classify` trains the `sc-learn` workload-archetype classifier on
@@ -62,36 +66,80 @@
 //! `--trace` is given); the `SC_OBS=level[:file]` environment variable
 //! supplies a default when neither flag is present.
 
+use sc_bench::{peak_rss_bytes, Cli};
 use sc_cluster::{FailureModel, SimConfig, Simulation};
 use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, DatasetReport};
-use sc_learn::{ArchetypePredictor, ClassifierConfig};
+use sc_learn::ArchetypePredictor;
 use sc_obs::{chrome_trace_json, JsonlSink, Obs, StageLog, TraceLevel, TraceSink};
-use sc_opportunity::{CheckpointConfig, OpportunityReport};
+use sc_opportunity::OpportunityReport;
 use sc_policy::{ExperimentResult, PolicyExperiment, PolicySpec};
-use sc_scenario::{CrossSystemFig, Scenario};
+use sc_scenario::{CrossSystemFig, FailureScenario, Scenario};
 use sc_telemetry::DataQualityProfile;
-use sc_workload::{Trace, WorkloadSpec};
+use sc_workload::Trace;
 
 struct Args {
-    scenario: Option<Scenario>,
+    /// The run's configuration: the `supercloud` preset or
+    /// `--scenario`, with every config flag written into it.
+    scenario: Scenario,
     cross_system: Vec<Scenario>,
-    scale: Option<f64>,
-    seed: Option<u64>,
     out: Option<String>,
     svg_dir: Option<String>,
     threads: Option<usize>,
     bench_json: Option<String>,
-    failure_profile: Option<String>,
-    mtbf_factor: Option<f64>,
     trace: Option<String>,
     trace_level: Option<String>,
-    policy: Option<PolicySpec>,
-    data_quality: Option<DataQualityProfile>,
-    classify: bool,
     classifier_json: Option<String>,
+    reliability_json: Option<String>,
+}
+
+/// The config flags as given, written into the scenario only once
+/// `--scenario` has loaded, so flag order does not matter.
+#[derive(Default)]
+struct Overrides {
+    scale: Option<f64>,
+    seed: Option<u64>,
+    failure_profile: Option<String>,
+    mtbf_factor: Option<f64>,
+    policy: Option<String>,
+    data_quality: Option<String>,
+    classify: bool,
     reliability: bool,
     growth: Option<Vec<f64>>,
-    reliability_json: Option<String>,
+}
+
+impl Overrides {
+    /// Writes each given flag into its scenario field.
+    fn apply(self, sc: &mut Scenario) {
+        if let Some(v) = self.scale {
+            sc.scale = v;
+        }
+        if let Some(v) = self.seed {
+            sc.seed = v;
+        }
+        // The failure flags replace `[failures]` as a unit. `--mtbf`
+        // alone keeps the scenario's profile, or uses the default
+        // taxonomy when the scenario is failure-free.
+        if self.failure_profile.is_some() || self.mtbf_factor.is_some() {
+            let profile =
+                self.failure_profile.unwrap_or_else(|| match sc.failures.profile.as_str() {
+                    "off" => "supercloud".to_string(),
+                    p => p.to_string(),
+                });
+            let mtbf_factor = self.mtbf_factor.filter(|_| profile != "off");
+            sc.failures = FailureScenario { profile, mtbf_factor };
+        }
+        if let Some(v) = self.policy {
+            sc.policy = v;
+        }
+        if let Some(v) = self.data_quality {
+            sc.data_quality = v;
+        }
+        sc.classifier.enabled |= self.classify;
+        sc.reliability.enabled |= self.reliability;
+        if let Some(v) = self.growth {
+            sc.reliability.growth_factors = Some(v);
+        }
+    }
 }
 
 const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system all|LIST]
@@ -106,27 +154,34 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
                      [--reliability] [--growth FACTORS]
                      [--reliability-json FILE]
 
+Every run is a scenario: the supercloud preset unless --scenario names
+another. Each config flag below (--scale, --seed, --failure-profile,
+--mtbf, --policy, --data-quality, --classify, --reliability, --growth)
+overrides one field of it, in any order.
+
   --scenario S         drive the pipeline from a scenario preset or TOML
-                       file (presets: supercloud|philly|nersc|in2p3).
-                       The scenario supplies cluster, workload, arrivals,
-                       failures, data quality, policy, seed, and scale;
-                       any explicit flag below overrides its scenario
-                       counterpart. `supercloud` is the flag default,
-                       byte for byte.
+                       file (presets: supercloud|philly|nersc|in2p3;
+                       default supercloud). The scenario supplies cluster,
+                       workload, arrivals, failures, data quality, policy,
+                       classifier, reliability, seed, and scale.
   --cross-system L     after the main run, replay the comma-separated
                        scenario list L (`all` = the four presets) at the
-                       effective scale and seed and print the
+                       run's scale and seed and print the
                        side-by-side comparison (plus cross_system.svg
                        with --svg-dir and a methodology section in --out)
-  --scale F            scale the 125-day / 74,820-job workload by F (default 1.0)
-  --seed N             master RNG seed (default 42)
+  --scale F            scale the scenario's workload by F (supercloud:
+                       1.0 = 125 days / 74,820 jobs)
+  --seed N             master RNG seed (supercloud: 42)
   --out FILE           also write the Markdown paper-vs-measured report
   --svg-dir DIR        write the SVG figure set into DIR
   --threads N          cap the worker pool (default: all cores)
   --bench-json FILE    write per-stage timings as JSON
-  --failure-profile P  inject faults from taxonomy profile P (default off)
-  --mtbf FACTOR        scale every class MTBF by FACTOR; implies
-                       --failure-profile supercloud when none is given
+  --failure-profile P  inject faults from taxonomy profile P (supercloud:
+                       off); replaces the scenario's failures together
+                       with --mtbf
+  --mtbf FACTOR        scale every class MTBF by FACTOR; keeps the
+                       scenario's failure profile, or uses supercloud when
+                       that profile is off
   --trace FILE         write the deterministic sim-time JSONL trace to FILE
                        and a FILE.chrome.json Perfetto sidecar of pipeline
                        stage spans
@@ -136,15 +191,15 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
   --policy P           run the closed-loop policy A/B harness: replay the
                        same trace with no policy and with P, and report
                        the deltas (see the Policy engine section of the
-                       README); off (default) skips the harness
+                       README); off skips the harness
   --data-quality P     corrupt the recorded dataset with collection-fault
                        profile P, run the hardened ingest repair, and report
                        recovered-vs-clean headline deltas plus the repair
-                       ledger; off (default) skips the stage entirely
+                       ledger; off skips the stage entirely
   --classify           train the workload-archetype classifier on the
                        generated trace and print the confusion-matrix
                        report (classifier_confusion.svg with --svg-dir);
-                       a scenario's [classifier] section enables this too
+                       same as the scenario's [classifier] enabled = true
   --classifier-json F  write classifier gate metrics (accuracy, split
                        sizes, predicted-vs-oracle goodput delta when
                        --policy coshare-predicted ran) as JSON to F;
@@ -152,10 +207,10 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
   --reliability        run the reliability-at-scale study: per-size-class
                        ETTF/ETTR table, goodput frontier across MTBF
                        settings, and the Young/Daly checkpoint-interval
-                       sweep (simulated vs analytic); uses the effective
-                       failure model, or the default supercloud taxonomy
-                       at 0.05x MTBF when no failure flags are given; a
-                       scenario's [reliability] section enables this too
+                       sweep (simulated vs analytic); uses the scenario's
+                       failure model, or the supercloud taxonomy at 0.05x
+                       MTBF when the run is failure-free; same as the
+                       scenario's [reliability] enabled = true
   --growth FACTORS     comma-separated fleet scale factors (e.g. 2,8,32)
                        for the cluster-growth replay: same workload on a
                        scaled cluster, reporting queue wait, goodput, and
@@ -165,47 +220,32 @@ const USAGE: &str = "usage: repro_figures [--scenario NAME|FILE] [--cross-system
                        frontier monotonicity, growth throughput floor) as
                        JSON to F; implies --reliability";
 
-/// Prints an error plus the usage text and exits with status 2, the
-/// conventional bad-usage code.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("repro_figures: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
+const CLI: Cli = Cli { name: "repro_figures", usage: USAGE };
 
-fn parse_args() -> Args {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
+    let mut set = Overrides::default();
     let mut args = Args {
-        scenario: None,
+        scenario: Scenario::preset("supercloud").expect("committed preset"),
         cross_system: Vec::new(),
-        scale: None,
-        seed: None,
         out: None,
         svg_dir: None,
         threads: None,
         bench_json: None,
-        failure_profile: None,
-        mtbf_factor: None,
         trace: None,
         trace_level: None,
-        policy: None,
-        data_quality: None,
-        classify: false,
         classifier_json: None,
-        reliability: false,
-        growth: None,
         reliability_json: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| usage_error(&format!("missing value for {name}")))
+            it.next().unwrap_or_else(|| CLI.usage_error(&format!("missing value for {name}")))
         };
         match flag.as_str() {
             "--scenario" => {
                 let spec = value("--scenario");
-                args.scenario = Some(
-                    Scenario::load(&spec)
-                        .unwrap_or_else(|e| usage_error(&format!("--scenario {spec}: {e}"))),
-                );
+                args.scenario = Scenario::load(&spec)
+                    .unwrap_or_else(|e| CLI.usage_error(&format!("--scenario {spec}: {e}")));
             }
             "--cross-system" => {
                 let list = value("--cross-system");
@@ -217,28 +257,21 @@ fn parse_args() -> Args {
                 args.cross_system = names
                     .iter()
                     .map(|n| {
-                        Scenario::load(n)
-                            .unwrap_or_else(|e| usage_error(&format!("--cross-system {n}: {e}")))
+                        Scenario::load(n).unwrap_or_else(|e| {
+                            CLI.usage_error(&format!("--cross-system {n}: {e}"))
+                        })
                     })
                     .collect();
                 if args.cross_system.is_empty() {
-                    usage_error("--cross-system needs at least one scenario");
+                    CLI.usage_error("--cross-system needs at least one scenario");
                 }
             }
-            "--scale" => {
-                let scale: f64 = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale needs a number"));
-                if !(scale > 0.0 && scale.is_finite()) {
-                    usage_error("--scale must be a positive finite factor");
-                }
-                args.scale = Some(scale);
-            }
+            "--scale" => set.scale = Some(CLI.positive_factor("--scale", &value("--scale"))),
             "--seed" => {
-                args.seed = Some(
+                set.seed = Some(
                     value("--seed")
                         .parse()
-                        .unwrap_or_else(|_| usage_error("--seed needs an integer")),
+                        .unwrap_or_else(|_| CLI.usage_error("--seed needs an integer")),
                 );
             }
             "--out" => args.out = Some(value("--out")),
@@ -247,87 +280,79 @@ fn parse_args() -> Args {
                 args.threads = Some(
                     value("--threads")
                         .parse()
-                        .unwrap_or_else(|_| usage_error("--threads needs an integer")),
+                        .unwrap_or_else(|_| CLI.usage_error("--threads needs an integer")),
                 );
             }
             "--bench-json" => args.bench_json = Some(value("--bench-json")),
-            "--failure-profile" => args.failure_profile = Some(value("--failure-profile")),
-            "--mtbf" => {
-                let f: f64 = value("--mtbf")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--mtbf needs a number"));
-                if !(f.is_finite() && f > 0.0) {
-                    usage_error("--mtbf must be a positive finite factor");
+            "--failure-profile" => {
+                let name = value("--failure-profile");
+                if FailureModel::profile(&name, 0).is_none() {
+                    CLI.usage_error(&format!(
+                        "unknown --failure-profile {name} (expected {})",
+                        FailureModel::PROFILE_NAMES
+                    ));
                 }
-                args.mtbf_factor = Some(f);
+                set.failure_profile = Some(name);
             }
+            "--mtbf" => set.mtbf_factor = Some(CLI.positive_factor("--mtbf", &value("--mtbf"))),
             "--trace" => args.trace = Some(value("--trace")),
             "--trace-level" => args.trace_level = Some(value("--trace-level")),
             "--policy" => {
-                args.policy =
-                    Some(PolicySpec::parse(&value("--policy")).unwrap_or_else(|e| usage_error(&e)));
+                let arm = value("--policy");
+                if let Err(e) = PolicySpec::parse(&arm) {
+                    CLI.usage_error(&e);
+                }
+                set.policy = Some(arm);
             }
             "--data-quality" => {
                 let name = value("--data-quality");
-                args.data_quality = Some(DataQualityProfile::parse(&name).unwrap_or_else(|| {
-                    usage_error(&format!(
+                if DataQualityProfile::parse(&name).is_none() {
+                    CLI.usage_error(&format!(
                         "unknown --data-quality profile {name} (expected {})",
                         DataQualityProfile::NAMES
-                    ))
-                }));
+                    ));
+                }
+                set.data_quality = Some(name);
             }
-            "--classify" => args.classify = true,
-            "--classifier-json" => args.classifier_json = Some(value("--classifier-json")),
-            "--reliability" => args.reliability = true,
+            "--classify" => set.classify = true,
+            "--classifier-json" => {
+                args.classifier_json = Some(value("--classifier-json"));
+                set.classify = true;
+            }
+            "--reliability" => set.reliability = true,
             "--growth" => {
                 let list = value("--growth");
                 let factors: Vec<f64> = list
                     .split(',')
                     .map(|s| {
                         let f: f64 = s.trim().parse().unwrap_or_else(|_| {
-                            usage_error("--growth needs a comma-separated list of numbers")
+                            CLI.usage_error("--growth needs a comma-separated list of numbers")
                         });
                         if !(f.is_finite() && f > 0.0) {
-                            usage_error("--growth factors must be positive and finite");
+                            CLI.usage_error("--growth factors must be positive and finite");
                         }
                         f
                     })
                     .collect();
                 if factors.is_empty() {
-                    usage_error("--growth needs at least one factor");
+                    CLI.usage_error("--growth needs at least one factor");
                 }
-                args.growth = Some(factors);
+                set.growth = Some(factors);
+                set.reliability = true;
             }
-            "--reliability-json" => args.reliability_json = Some(value("--reliability-json")),
+            "--reliability-json" => {
+                args.reliability_json = Some(value("--reliability-json"));
+                set.reliability = true;
+            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => usage_error(&format!("unknown flag {other}")),
+            other => CLI.usage_error(&format!("unknown flag {other}")),
         }
     }
+    set.apply(&mut args.scenario);
     args
-}
-
-/// Resolves the failure flags into a model (or `None` for the stock,
-/// failure-free reproduction). `--mtbf` without a profile means "the
-/// default taxonomy, rescaled".
-fn failure_model(args: &Args, seed: u64) -> Option<FailureModel> {
-    let name = match (&args.failure_profile, args.mtbf_factor) {
-        (Some(name), _) => name.as_str(),
-        (None, Some(_)) => "supercloud",
-        (None, None) => "off",
-    };
-    let model = FailureModel::profile(name, seed).unwrap_or_else(|| {
-        usage_error(&format!(
-            "unknown --failure-profile {name} (expected {})",
-            FailureModel::PROFILE_NAMES
-        ))
-    })?;
-    Some(match args.mtbf_factor {
-        Some(f) => model.scaled_mtbf(f),
-        None => model,
-    })
 }
 
 /// Resolves the tracing flags to `(level, jsonl path)`. The flags win;
@@ -336,7 +361,7 @@ fn failure_model(args: &Args, seed: u64) -> Option<FailureModel> {
 fn trace_settings(args: &Args) -> (TraceLevel, Option<String>) {
     let parse_level = |s: &str| {
         TraceLevel::parse(s).unwrap_or_else(|| {
-            usage_error(&format!("bad trace level {s} (expected {})", TraceLevel::NAMES))
+            CLI.usage_error(&format!("bad trace level {s} (expected {})", TraceLevel::NAMES))
         })
     };
     if args.trace.is_some() || args.trace_level.is_some() {
@@ -345,7 +370,7 @@ fn trace_settings(args: &Args) -> (TraceLevel, Option<String>) {
             None => TraceLevel::Events,
         };
         if level > TraceLevel::Off && args.trace.is_none() {
-            usage_error("--trace-level needs --trace FILE to write to");
+            CLI.usage_error("--trace-level needs --trace FILE to write to");
         }
         return (level, args.trace.clone());
     }
@@ -357,7 +382,7 @@ fn trace_settings(args: &Args) -> (TraceLevel, Option<String>) {
             };
             let level = parse_level(&level_str);
             if level > TraceLevel::Off && path.is_none() {
-                usage_error("SC_OBS enables tracing but names no file (use SC_OBS=level:file)");
+                CLI.usage_error("SC_OBS enables tracing but names no file (use SC_OBS=level:file)");
             }
             (level, path)
         }
@@ -369,21 +394,6 @@ fn trace_settings(args: &Args) -> (TraceLevel, Option<String>) {
 struct Stage {
     name: &'static str,
     secs: f64,
-}
-
-/// Peak resident set size of this process in bytes, from the kernel's
-/// high-water mark (`VmHWM` in `/proc/self/status`). Returns 0 where
-/// procfs is unavailable (non-Linux), which downstream gates treat as
-/// "not measured".
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
 }
 
 /// Renders the benchmark report by hand: four stages and a handful of
@@ -598,12 +608,6 @@ hundreds of jobs on a single off-season day and swamp the all-jobs daily \
 mean, so the pre-deadline surge (Sec. II) is computed over GPU submissions \
 only, where the deadline ramp actually shows (≈1.2× vs the 1.1× bar).\n";
 
-/// Prints a runtime (non-usage) error and exits with status 1.
-fn fail(msg: &str) -> ! {
-    eprintln!("repro_figures: {msg}");
-    std::process::exit(1);
-}
-
 /// The failure-taxonomy section of the generated report: what the
 /// injection subsystem models and how to reproduce it.
 const FAILURE_TAXONOMY: &str = "\n## Failure taxonomy and goodput accounting\n\n\
@@ -657,43 +661,26 @@ chrome://tracing or https://ui.perfetto.dev. With tracing off the \
 instrumentation compiles down to a cached enum compare per site.\n";
 
 /// The streaming-telemetry section of the generated report: the
-/// before/after stage breakdown and the memory-bound claim. The
-/// full-scale and 1M-job rows are measured constants (regenerated with
-/// BENCH_repro.json); the per-run table below them is live.
+/// engine and the memory-bound claim. Measured numbers live with the
+/// benchmark in `perfbench/`; the per-run table below this section is
+/// live.
 const STREAMING_BENCH: &str = "\n## Streaming telemetry engine\n\n\
 The original telemetry stage materialized every per-job sample series \
-before any aggregation ran, so the full-scale reproduction spent 47.2 s \
-of its 48.4 s wall-clock synthesizing series at 1,584 jobs/sec. The \
-streaming engine synthesizes each job's series tick-by-tick straight \
-into one-pass aggregators (segmentation builder, CoV folds, mergeable \
-quantile sketch / Welford / histogram summaries) over a thread-local \
-scratch spill, so wall-clock and peak memory scale with aggregate \
-state, not sample count. Full-scale (74,820 jobs, seed 42) before vs \
-after:\n\n\
-| engine | threads | telemetry | jobs/sec | total | peak RSS |\n\
-|---|---|---|---|---|---|\n\
-| batch (committed baseline) | 1 | 47.23 s | 1,584 | 48.42 s | not recorded |\n\
-| streaming | 1 | 4.52 s | 16,553 | 5.67 s | 81.3 MiB |\n\
-| streaming | 4 | 5.08 s | 14,740 | 6.66 s | 122.6 MiB |\n\
-| streaming | 8 | 5.32 s | 14,062 | 6.45 s | 198.1 MiB |\n\n\
-(The rows above were measured on a one-core container, so extra \
-workers only add scheduling overhead and per-worker scratch; the \
-thread matrix exists to prove the determinism contract — stdout is \
-byte-identical across all three rows — not scaling.)\n\n\
-The O(aggregate state) memory claim is demonstrated by a 1M-job run \
-(`--scale 13.366`, 1,000,044 jobs — 13.4x the sample volume): peak RSS \
-grows only with the recorded dataset (one epilog record per job, plus \
+before any aggregation ran, so synthesizing series dominated the \
+full-scale reproduction. The streaming engine synthesizes each job's \
+series tick-by-tick straight into one-pass aggregators (segmentation \
+builder, CoV folds, mergeable quantile sketch / Welford / histogram \
+summaries) over a thread-local scratch spill, so wall-clock and peak \
+memory scale with aggregate state, not sample count: peak RSS grows \
+only with the recorded dataset (one epilog record per job, plus \
 O(threads) in-flight series scratch bounded by the SPSC channel \
-capacity), not with the synthesized sample count. Measured: 776 MiB \
-peak RSS for 57.4 s of telemetry (17,425 jobs/sec) — 9.5x the RSS of \
-the 74,820-job run for 13.4x the jobs, where the batch engine's \
-materialized series alone would have needed tens of GiB. \
-`peak_rss_bytes` is recorded in every `--bench-json` report and \
-regression-gated by `scripts/check_bench.py`.\n";
+capacity), not with the synthesized sample count. `peak_rss_bytes` is \
+recorded in every `--bench-json` report and regression-gated by \
+`scripts/check_bench.py`. End-to-end and per-layer measurements, with \
+the hardware they were taken on, are in `perfbench/README.md`.\n";
 
 /// The query-service section of the generated report: the serve-once
-/// architecture, the load-mix definitions, and the committed smoke
-/// baseline (regenerated with BENCH_serve.json).
+/// architecture, the load-mix definitions, and the gates.
 const SERVE_METHODOLOGY: &str = "\n## Query service methodology\n\n\
 The serving layer (`sc-serve`) reframes the reproduction as a \
 long-running system: `Service::build` runs the seeded simulation once \
@@ -729,17 +716,6 @@ and 8 and requires all three digests to be identical; \
 warm (`query_blocking`) byte equality and that 8 concurrent identical \
 cold queries produce exactly 1 miss and 7 hit-or-coalesced \
 responses.\n\n\
-**Committed smoke baseline** (`BENCH_serve.json`, scale 0.02, seed \
-42, 200 requests/mix, 1 thread, one-core container):\n\n\
-| mix | p50 | p99 | qps | hit rate |\n\
-|---|---|---|---|---|\n\
-| point_flood | 42 µs | 2.5 ms | 63.6k | 0.94 |\n\
-| cold_ab | 30.3 ms | 126.1 ms | 47 | 0.00 |\n\
-| cache_storm | 7.8 µs | 58 µs | 349.6k | 1.00 |\n\
-| steady | 16 µs | 60 µs | 463.4k | 1.00 |\n\n\
-The uncached cold baseline sustains 4.6k qps over the same surface, \
-putting the storm at 76× cold throughput (criterion agrees on the \
-per-query view: ~200 ns per hit vs ~210 µs per cold figure). \
 `scripts/check_bench.py --serve` gates the report declaratively — p99 \
 ceilings per mix (250 ms floods/steady, 50 ms storm, 30 s cold A/B), \
 storm throughput ≥ 1k qps, storm and steady hit rates ≥ 0.95, and \
@@ -748,7 +724,9 @@ against committed pass/fail fixtures in the lint job. The weekly \
 workflow runs the same gates over a full-scale soak (125-day world, \
 2,000 requests/mix) and ships the per-response Chrome trace as an \
 artifact; the floors are scale-independent because a cache hit costs \
-the same regardless of how expensive the miss was.\n";
+the same regardless of how expensive the miss was. Measured serve \
+latencies and hit rates, with the hardware they were taken on, are in \
+`perfbench/README.md` (the `serve-whatif` workload).\n";
 
 /// The data-quality section of the generated report: the collection
 /// fault taxonomy and the ingest repair pipeline.
@@ -904,45 +882,20 @@ repro_figures --cross-system all --scale 0.05        # the comparison\n\
 ```\n";
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1));
     if let Some(n) = args.threads {
         sc_par::set_max_threads(n);
     }
     let (trace_level, trace_path) = trace_settings(&args);
-    // Effective settings: explicit CLI flags win, then the scenario's
-    // declarations, then the historical flag defaults. The `supercloud`
-    // preset declares exactly the flag defaults, so scenario-driven and
-    // flag-driven default runs are byte-identical.
-    let scale = args.scale.unwrap_or_else(|| args.scenario.as_ref().map_or(1.0, |sc| sc.scale));
-    let seed = args.seed.unwrap_or_else(|| args.scenario.as_ref().map_or(42, |sc| sc.seed));
-    let policy = args
-        .policy
-        .unwrap_or_else(|| args.scenario.as_ref().map_or(PolicySpec::Off, |sc| sc.policy_spec()));
-    let data_quality = args.data_quality.unwrap_or_else(|| {
-        args.scenario.as_ref().map_or(DataQualityProfile::Off, |sc| sc.data_quality_profile())
-    });
-    // The classifier stage runs when a flag asks for it or the scenario
-    // declares `[classifier] enabled = true`; its hyper-parameters come
-    // from the scenario's section (library defaults when absent), so a
-    // flag-driven and a section-less scenario run stay byte-identical.
-    let classify = args.classify
-        || args.classifier_json.is_some()
-        || args.scenario.as_ref().is_some_and(|sc| sc.classifier.enabled);
-    let classifier_cfg =
-        args.scenario.as_ref().map_or_else(ClassifierConfig::default, |sc| sc.classifier_config());
-    let cli_failures = args.failure_profile.is_some() || args.mtbf_factor.is_some();
-    let failures = if cli_failures || args.scenario.is_none() {
-        failure_model(&args, seed)
-    } else {
-        args.scenario.as_ref().and_then(|sc| sc.failure_model(seed))
-    };
-    let spec = match &args.scenario {
-        Some(sc) => sc.scaled_spec(scale),
-        None => WorkloadSpec::supercloud().scaled(scale),
-    };
-    if let Some(sc) = &args.scenario {
-        eprintln!("scenario {} (hash {:016x})", sc.name, sc.hash());
-    }
+    // Everything below is configured by the scenario alone.
+    let sc = &args.scenario;
+    let (scale, seed) = (sc.scale, sc.seed);
+    let spec = sc.scaled_spec(scale);
+    let sim_config = sc.sim_config(scale, seed);
+    let policy = sc.policy_spec();
+    let data_quality = sc.data_quality_profile();
+    let classifier_cfg = sc.classifier_config();
+    eprintln!("scenario {} (hash {:016x})", sc.name, sc.hash());
     eprintln!(
         "generating {} jobs / {} users over {} days (seed {}, {} threads) ...",
         spec.total_jobs,
@@ -955,37 +908,17 @@ fn main() {
     let t0 = std::time::Instant::now();
     let trace = stage_log.time("trace_gen", || Trace::generate(&spec, seed));
     let trace_gen_secs = t0.elapsed().as_secs_f64();
-    let detailed = ((2_149.0 * scale).round() as usize).max(50);
-    // With injection on, run checkpointing at the Young interval for the
-    // model's per-node interrupt rate, so checkpointable victims resume
-    // from their last interval instead of restarting from scratch.
-    let checkpoint = failures.as_ref().map(|model| {
-        let rate: f64 = model.classes.iter().map(|c| 1.0 / c.interarrival.mtbf_secs()).sum();
-        let policy = CheckpointConfig::for_mtti(1.0 / rate).sim_policy();
+    if let (Some(model), Some(checkpoint)) = (&sim_config.failures, &sim_config.checkpoint) {
         eprintln!(
             "failure injection on: {} classes, checkpoint interval {:.0}s",
             model.classes.len(),
-            policy.interval_secs
+            checkpoint.interval_secs
         );
-        policy
-    });
-    // The scenario supplies the cluster shape; failures and checkpoint
-    // are overwritten with the resolution above so explicit CLI failure
-    // flags override a scenario's declared profile.
-    let sim_config = {
-        let mut config = match &args.scenario {
-            Some(sc) => sc.sim_config(scale, seed),
-            None => SimConfig::default(),
-        };
-        config.detailed_series_jobs = detailed;
-        config.failures = failures;
-        config.checkpoint = checkpoint;
-        config
-    };
+    }
     let sim = Simulation::new(sim_config.clone());
     let sink = trace_path.as_ref().map(|path| {
         let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| fail(&format!("cannot create trace file {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot create trace file {path}: {e}")));
         JsonlSink::new(trace_level, file)
     });
     let t0 = std::time::Instant::now();
@@ -997,11 +930,12 @@ fn main() {
     stage_log.push("sim_event_loop", sim_start, timings.event_loop_secs);
     stage_log.push("telemetry", sim_start + timings.event_loop_secs, timings.telemetry_secs);
     if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
+        s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
     }
     eprintln!("simulated in {:?}; analyzing ...", t0.elapsed());
     let t0 = std::time::Instant::now();
-    let report = AnalysisReport::from_sim_logged(&out, &stage_log);
+    let report = AnalysisReport::try_from_sim_logged(&out, &stage_log)
+        .unwrap_or_else(|e| CLI.fail(&format!("figure pipeline: {e}")));
     let analysis_secs = t0.elapsed().as_secs_f64();
 
     // The Chrome sidecar carries the wall-clock stage spans (trace
@@ -1010,7 +944,7 @@ fn main() {
     if let Some(path) = &trace_path {
         let chrome_path = format!("{path}.chrome.json");
         std::fs::write(&chrome_path, chrome_trace_json(&stage_log.spans()))
-            .unwrap_or_else(|e| fail(&format!("cannot write {chrome_path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {chrome_path}: {e}")));
         eprintln!("wrote {path} (sim-time JSONL) and {chrome_path} (Perfetto stages)");
     }
 
@@ -1023,7 +957,7 @@ fn main() {
     if let Some(path) = &args.bench_json {
         let json = bench_json(sc_par::current_threads(), scale, seed, trace.jobs().len(), &stages);
         std::fs::write(path, json)
-            .unwrap_or_else(|e| fail(&format!("cannot write bench json {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write bench json {path}: {e}")));
         eprintln!("wrote {path}");
     }
 
@@ -1040,7 +974,7 @@ fn main() {
         Ok(fig) => {
             println!("{}", fig.render());
             if !fig.passes() {
-                fail("streaming telemetry aggregates diverge from the batch dataset");
+                CLI.fail("streaming telemetry aggregates diverge from the batch dataset");
             }
             Some(fig)
         }
@@ -1061,7 +995,7 @@ fn main() {
 
     if let Some(dir) = &args.svg_dir {
         let files = sc_core::svg::write_report_svgs(&report, std::path::Path::new(dir))
-            .unwrap_or_else(|e| fail(&format!("cannot write SVGs to {dir}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write SVGs to {dir}: {e}")));
         eprintln!("wrote {} SVG figures to {dir}", files.len());
     }
 
@@ -1122,12 +1056,12 @@ fn main() {
         result
     });
     if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
+        s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
     }
     if let (Some(result), Some(dir)) = (&policy_ab, &args.svg_dir) {
         let path = std::path::Path::new(dir).join("policy_ab.svg");
         std::fs::write(&path, result.fig.to_svg())
-            .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
         eprintln!("wrote {}", path.display());
     }
 
@@ -1135,7 +1069,7 @@ fn main() {
     // same trace and report the held-out confusion matrix. When the
     // coshare-predicted harness already trained one (with the identical
     // config), reuse its evaluation instead of training twice.
-    let classifier_fig = classify.then(|| {
+    let classifier_fig = sc.classifier.enabled.then(|| {
         let eval = match policy_ab.as_ref().and_then(|r| r.classifier_eval.clone()) {
             Some(eval) => eval,
             None => {
@@ -1156,13 +1090,13 @@ fn main() {
     if let (Some(fig), Some(dir)) = (&classifier_fig, &args.svg_dir) {
         let path = std::path::Path::new(dir).join("classifier_confusion.svg");
         std::fs::write(&path, fig.to_svg())
-            .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
         eprintln!("wrote {}", path.display());
     }
     if let Some(path) = &args.classifier_json {
         let fig = classifier_fig.as_ref().expect("--classifier-json implies --classify");
         std::fs::write(path, classifier_json(fig, policy_ab.as_ref()))
-            .unwrap_or_else(|e| fail(&format!("cannot write classifier json {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write classifier json {path}: {e}")));
         eprintln!("wrote {path}");
     }
 
@@ -1179,14 +1113,14 @@ fn main() {
             None => Obs::off(),
         };
         let clean_report = DatasetReport::try_from_dataset(&out.dataset)
-            .unwrap_or_else(|e| fail(&format!("clean pipeline failed: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("clean pipeline failed: {e}")));
         let (ingested, injected) =
             sc_core::corrupt_and_ingest(&out.dataset, data_quality, seed, &obs)
-                .unwrap_or_else(|e| fail(&format!("ingest failed: {e}")));
+                .unwrap_or_else(|e| CLI.fail(&format!("ingest failed: {e}")));
         let recovered = DatasetReport::try_from_dataset(&ingested.dataset)
-            .unwrap_or_else(|e| fail(&format!("recovered pipeline failed: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("recovered pipeline failed: {e}")));
         let study = sc_core::ingest::series_study(data_quality, seed, 64, 1_800.0, 0.1)
-            .unwrap_or_else(|e| fail(&format!("series study failed: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("series study failed: {e}")));
         let fig = DataQualityFig::compute(
             data_quality.label(),
             injected,
@@ -1198,17 +1132,17 @@ fn main() {
         eprintln!("data-quality round trip done in {:?}", t0.elapsed());
         println!("{}", fig.render());
         if !fig.balanced() {
-            fail("data-quality ledger does not balance");
+            CLI.fail("data-quality ledger does not balance");
         }
         fig
     });
     if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| fail(&format!("cannot flush trace file: {e}")));
+        s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
     }
     if let (Some(fig), Some(dir)) = (&data_quality_fig, &args.svg_dir) {
         let path = std::path::Path::new(dir).join("data_quality.svg");
         std::fs::write(&path, fig.to_svg())
-            .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
         eprintln!("wrote {}", path.display());
     }
 
@@ -1219,7 +1153,7 @@ fn main() {
         eprintln!("running cross-system comparison ({} systems) ...", args.cross_system.len());
         let t0 = std::time::Instant::now();
         let fig = CrossSystemFig::run(&args.cross_system, scale, seed)
-            .unwrap_or_else(|e| fail(&format!("cross-system comparison: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cross-system comparison: {e}")));
         eprintln!("cross-system comparison done in {:?}", t0.elapsed());
         println!("{}", fig.render());
         fig
@@ -1227,33 +1161,18 @@ fn main() {
     if let (Some(fig), Some(dir)) = (&cross_system, &args.svg_dir) {
         let path = std::path::Path::new(dir).join("cross_system.svg");
         std::fs::write(&path, fig.to_svg())
-            .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
         eprintln!("wrote {}", path.display());
     }
 
     // Reliability-at-scale study: per-size-class failure table, goodput
     // frontier, Young/Daly checkpoint sweep, and (with --growth) the
     // cluster-growth replay. Off by default, so the stock reproduction
-    // stays byte-identical; a scenario's `[reliability] enabled = true`
-    // turns it on too. With no failure flags the study injects the
-    // default supercloud taxonomy at 0.05x MTBF so every figure has
-    // failures to measure.
-    let run_reliability = args.reliability
-        || args.growth.is_some()
-        || args.reliability_json.is_some()
-        || args.scenario.as_ref().is_some_and(|sc| sc.reliability.enabled);
-    let reliability_report = run_reliability.then(|| {
-        let model = sim_config
-            .failures
-            .clone()
-            .unwrap_or_else(|| FailureModel::supercloud(seed).scaled_mtbf(0.05));
-        let mut rel_cfg = args
-            .scenario
-            .as_ref()
-            .map_or_else(sc_core::ReliabilityConfig::default, |sc| sc.reliability_config());
-        if let Some(growth) = &args.growth {
-            rel_cfg.growth_factors = growth.clone();
-        }
+    // stays byte-identical. A failure-free run measures the default
+    // supercloud taxonomy at 0.05x MTBF so every figure has failures.
+    let reliability_report = sc.reliability.enabled.then(|| {
+        let model = sc.reliability_failure_model(seed);
+        let rel_cfg = sc.reliability_config();
         eprintln!(
             "running reliability study ({} MTBF factors, {}-point sweep, {} growth factors) ...",
             rel_cfg.mtbf_factors.len(),
@@ -1270,14 +1189,14 @@ fn main() {
     if let Some(path) = &args.reliability_json {
         let report = reliability_report.as_ref().expect("--reliability-json implies --reliability");
         std::fs::write(path, reliability_json(report))
-            .unwrap_or_else(|e| fail(&format!("cannot write reliability json {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write reliability json {path}: {e}")));
         eprintln!("wrote {path}");
     }
     if let (Some(report), Some(dir)) = (&reliability_report, &args.svg_dir) {
         for (name, svg) in reliability_svgs(report) {
             let path = std::path::Path::new(dir).join(name);
             std::fs::write(&path, svg)
-                .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", path.display())));
+                .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
             eprintln!("wrote {}", path.display());
         }
     }
@@ -1401,7 +1320,119 @@ fn main() {
             out.stats.events
         ));
         std::fs::write(&path, md)
-            .unwrap_or_else(|e| fail(&format!("cannot write report {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write report {path}: {e}")));
         eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scenario_of(flags: &[&str]) -> Scenario {
+        parse_args(flags.iter().map(|s| s.to_string())).scenario
+    }
+
+    /// `preset`'s canonical TOML with `edits` applied, parsed: each
+    /// `(section, key, value)` drops the key from its section and, for
+    /// `Some(value)`, writes `key = value` in its place.
+    fn preset_with(preset: &str, edits: &[(&str, &str, Option<&str>)]) -> Scenario {
+        let text = Scenario::preset(preset).expect("preset").to_toml();
+        let mut toml = String::new();
+        let mut section = "";
+        for line in text.lines() {
+            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+                section = name;
+                toml.push_str(line);
+                toml.push('\n');
+                for &(s, key, value) in edits {
+                    if let (true, Some(v)) = (s == section, value) {
+                        toml.push_str(&format!("{key} = {v}\n"));
+                    }
+                }
+            } else if !edits
+                .iter()
+                .any(|&(s, key, _)| s == section && line.split(" = ").next() == Some(key))
+            {
+                toml.push_str(line);
+                toml.push('\n');
+            }
+        }
+        Scenario::parse(&toml).unwrap_or_else(|e| panic!("edited preset: {e}\n{toml}"))
+    }
+
+    /// Each config flag writes exactly its one scenario field: the
+    /// flag-built scenario equals the preset parsed with that key set,
+    /// whether the flags come before or after `--scenario`.
+    #[test]
+    fn each_config_flag_sets_its_scenario_field() {
+        type Row<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str, Option<&'a str>)]);
+        let rows: &[Row] = &[
+            ("supercloud", &[], &[]),
+            ("supercloud", &["--scale", "0.5"], &[("scenario", "scale", Some("0.5"))]),
+            ("supercloud", &["--seed", "7"], &[("scenario", "seed", Some("7"))]),
+            (
+                "supercloud",
+                &["--failure-profile", "stress"],
+                &[("failures", "profile", Some("\"stress\""))],
+            ),
+            // A failure-free scenario: --mtbf falls back to supercloud.
+            (
+                "supercloud",
+                &["--mtbf", "0.5"],
+                &[
+                    ("failures", "profile", Some("\"supercloud\"")),
+                    ("failures", "mtbf_factor", Some("0.5")),
+                ],
+            ),
+            // --mtbf keeps a scenario's own failure profile.
+            ("in2p3", &["--mtbf", "0.5"], &[("failures", "mtbf_factor", Some("0.5"))]),
+            // The failure flags replace [failures] as a unit.
+            (
+                "in2p3",
+                &["--failure-profile", "stress"],
+                &[("failures", "profile", Some("\"stress\"")), ("failures", "mtbf_factor", None)],
+            ),
+            (
+                "in2p3",
+                &["--mtbf", "0.3", "--failure-profile", "stress"],
+                &[
+                    ("failures", "profile", Some("\"stress\"")),
+                    ("failures", "mtbf_factor", Some("0.3")),
+                ],
+            ),
+            ("supercloud", &["--policy", "coshare"], &[("policy", "arm", Some("\"coshare\""))]),
+            (
+                "supercloud",
+                &["--data-quality", "lossy"],
+                &[("data_quality", "profile", Some("\"lossy\""))],
+            ),
+            ("supercloud", &["--classify"], &[("classifier", "enabled", Some("true"))]),
+            (
+                "supercloud",
+                &["--classifier-json", "c.json"],
+                &[("classifier", "enabled", Some("true"))],
+            ),
+            ("philly", &["--reliability"], &[("reliability", "enabled", Some("true"))]),
+            (
+                "philly",
+                &["--growth", "2,8"],
+                &[
+                    ("reliability", "enabled", Some("true")),
+                    ("reliability", "growth_factors", Some("[2.0, 8.0]")),
+                ],
+            ),
+        ];
+        for &(preset, flags, edits) in rows {
+            let want = preset_with(preset, edits);
+            let mut argv = vec!["--scenario", preset];
+            argv.extend_from_slice(flags);
+            assert_eq!(scenario_of(&argv), want, "{argv:?}");
+            argv.rotate_left(2);
+            assert_eq!(scenario_of(&argv), want, "{argv:?}");
+            if preset == "supercloud" {
+                assert_eq!(scenario_of(flags), want, "{flags:?} alone");
+            }
+        }
     }
 }

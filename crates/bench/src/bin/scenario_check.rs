@@ -10,13 +10,14 @@
 //! serialization to an identical value, and (at `--run-scale`, default
 //! 0.002) generate a non-empty trace. It then feeds a corpus of
 //! malformed documents to the parser and requires every one to come
-//! back as a typed [`ScenarioError`] carrying line context — a panic
+//! back as a typed [`sc_scenario::ScenarioError`] carrying line context — a panic
 //! or an accepted document fails the gate. Extra `FILE` arguments are
 //! validated the same way (parse + round-trip + smoke trace), so the
 //! gate also covers user-supplied scenario files.
 //!
 //! Exit status: 0 all checks pass, 1 any check fails, 2 bad usage.
 
+use sc_bench::Cli;
 use sc_scenario::Scenario;
 use sc_workload::Trace;
 
@@ -27,10 +28,7 @@ const USAGE: &str = "usage: scenario_check [--run-scale F] [FILE ...]
   FILE           extra scenario TOML files to validate alongside the
                  embedded presets";
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("scenario_check: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
+const CLI: Cli = Cli { name: "scenario_check", usage: USAGE };
 
 /// Malformed documents the parser must reject with a typed error.
 /// Mirrors (a subset of) the corpus in `tests/scenario_invariants.rs`;
@@ -58,6 +56,7 @@ const MALFORMED: &[&str] = &[
     "[scenario]\nname = \"x\"\n[reliability]\nsize_buckets = [8, 2]\n",
     "[scenario]\nname = \"x\"\n[reliability]\nmtbf_factors = [0.0]\n",
     "[scenario]\nname = \"x\"\n[reliability]\ngrowth_factor = 2.0\n",
+    "[scenario]\nname = \"x\"\n[cluster]\nnodes = 2\ngpus_per_node = 4\n",
 ];
 
 fn check(label: &str, ok: bool, detail: &str, failures: &mut u32) {
@@ -113,17 +112,19 @@ fn main() {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--run-scale" => {
-                let v = it.next().unwrap_or_else(|| usage_error("missing value for --run-scale"));
-                run_scale = v.parse().unwrap_or_else(|_| usage_error("--run-scale needs a number"));
+                let v =
+                    it.next().unwrap_or_else(|| CLI.usage_error("missing value for --run-scale"));
+                run_scale =
+                    v.parse().unwrap_or_else(|_| CLI.usage_error("--run-scale needs a number"));
                 if !(run_scale >= 0.0 && run_scale.is_finite()) {
-                    usage_error("--run-scale must be a non-negative finite factor");
+                    CLI.usage_error("--run-scale must be a non-negative finite factor");
                 }
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other if other.starts_with("--") => usage_error(&format!("unknown flag {other}")),
+            other if other.starts_with("--") => CLI.usage_error(&format!("unknown flag {other}")),
             file => files.push(file.to_string()),
         }
     }

@@ -35,6 +35,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sc_bench::{peak_rss_bytes, Cli};
 use sc_serve::{Digest, Pending, Query, ServeConfig, Service};
 use sc_stats::percentile;
 use std::collections::VecDeque;
@@ -57,7 +58,7 @@ const USAGE: &str = "usage: serve_load [--scenario NAME|FILE] [--scale F] [--see
 
   --scenario S   build the world from a scenario preset or TOML file
                  (presets: supercloud|philly|nersc|in2p3; default: the
-                 flag-driven Supercloud world). The parsed scenario's
+                 supercloud preset). The parsed scenario's
                  hash becomes a cache-key dimension and the report's
                  scenario label, so digests from different scenario
                  files never compare equal.
@@ -76,15 +77,7 @@ const USAGE: &str = "usage: serve_load [--scenario NAME|FILE] [--scale F] [--see
   --trace FILE   record per-query wall-clock spans and write them as a
                  Chrome trace (chrome://tracing / Perfetto)";
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("serve_load: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("serve_load: {msg}");
-    std::process::exit(1);
-}
+const CLI: Cli = Cli { name: "serve_load", usage: USAGE };
 
 fn parse_args() -> Args {
     let mut args = Args {
@@ -100,50 +93,44 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| usage_error(&format!("missing value for {name}")))
+            it.next().unwrap_or_else(|| CLI.usage_error(&format!("missing value for {name}")))
         };
         match flag.as_str() {
             "--scenario" => {
                 let spec = value("--scenario");
                 args.scenario = Some(
                     sc_scenario::Scenario::load(&spec)
-                        .unwrap_or_else(|e| usage_error(&format!("--scenario {spec}: {e}"))),
+                        .unwrap_or_else(|e| CLI.usage_error(&format!("--scenario {spec}: {e}"))),
                 );
             }
-            "--scale" => {
-                args.scale = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale needs a number"));
-                if !(args.scale > 0.0 && args.scale.is_finite()) {
-                    usage_error("--scale must be a positive finite factor");
-                }
-            }
+            "--scale" => args.scale = CLI.positive_factor("--scale", &value("--scale")),
             "--seed" => {
-                args.seed =
-                    value("--seed").parse().unwrap_or_else(|_| usage_error("--seed needs a u64"));
+                args.seed = value("--seed")
+                    .parse()
+                    .unwrap_or_else(|_| CLI.usage_error("--seed needs a u64"));
             }
             "--threads" => {
                 let n: usize = value("--threads")
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--threads needs a count"));
+                    .unwrap_or_else(|_| CLI.usage_error("--threads needs a count"));
                 if n == 0 {
-                    usage_error("--threads must be at least 1");
+                    CLI.usage_error("--threads must be at least 1");
                 }
                 args.threads = Some(n);
             }
             "--requests" => {
                 let n: usize = value("--requests")
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--requests needs a count"));
+                    .unwrap_or_else(|_| CLI.usage_error("--requests needs a count"));
                 if n == 0 {
-                    usage_error("--requests must be at least 1");
+                    CLI.usage_error("--requests must be at least 1");
                 }
                 args.requests = n;
             }
             "--cache-capacity" => {
                 args.cache_capacity = value("--cache-capacity")
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--cache-capacity needs a count"));
+                    .unwrap_or_else(|_| CLI.usage_error("--cache-capacity needs a count"));
             }
             "--out" => args.out = Some(value("--out")),
             "--trace" => args.trace = Some(value("--trace")),
@@ -151,7 +138,7 @@ fn parse_args() -> Args {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => usage_error(&format!("unknown flag {other:?}")),
+            other => CLI.usage_error(&format!("unknown flag {other:?}")),
         }
     }
     args
@@ -190,7 +177,7 @@ impl MixReport {
 
     fn pct(&self, p: f64) -> f64 {
         percentile(&self.latencies_ms, p)
-            .unwrap_or_else(|e| fail(&format!("latency percentile for {}: {e}", self.name)))
+            .unwrap_or_else(|e| CLI.fail(&format!("latency percentile for {}: {e}", self.name)))
     }
 }
 
@@ -258,17 +245,6 @@ fn steady_stream(n: usize, rng: &mut StdRng) -> Vec<Query> {
             }
         })
         .collect()
-}
-
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
 }
 
 /// Renders the report by hand, matching the repo's other bench JSONs:
@@ -412,12 +388,14 @@ fn main() {
     );
     print!("{json}");
     if let Some(path) = &args.out {
-        std::fs::write(path, &json).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        std::fs::write(path, &json)
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
     if let Some(path) = &args.trace {
         let trace = sc_obs::chrome_trace_json(&svc.stage_spans());
-        std::fs::write(path, trace).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        std::fs::write(path, trace)
+            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
 }

@@ -10,6 +10,7 @@ use crate::resources::ClusterState;
 use crate::scheduler::{RunningJob, Scheduler};
 use crate::spec::ClusterSpec;
 use sc_obs::{Obs, Timeline, TimelineSample};
+use sc_stats::hash::hash_unit;
 use sc_telemetry::dataset::{Dataset, MIN_GPU_JOB_RUNTIME_SECS};
 use sc_telemetry::phases::{ActiveVariability, PhaseStats};
 use sc_telemetry::record::{ExitStatus, FailureCause, GpuJobRecord, JobId, SchedulerRecord};
@@ -1145,15 +1146,6 @@ impl Simulation {
 /// exit is user or queue behaviour, not an infrastructure death.
 fn exit_cause(exit: ExitStatus) -> Option<FailureCause> {
     (exit == ExitStatus::NodeFailure).then_some(FailureCause::NodeHardware)
-}
-
-/// Hashes a seed to a unit-interval float, for deterministic per-job
-/// coin flips that are independent of RNG consumption order.
-fn hash_unit(mut x: u64) -> f64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

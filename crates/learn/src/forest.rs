@@ -7,10 +7,11 @@
 //! (index-ordered — the forest is identical at any thread budget).
 //!
 //! Splits greedily minimize weighted Gini impurity over a random
-//! subset of features, scanning at most [`MAX_THRESHOLDS`] candidate
+//! subset of features, scanning at most `MAX_THRESHOLDS` candidate
 //! cuts per feature; ties keep the first candidate in deterministic
 //! scan order.
 
+use sc_stats::hash::{splitmix64, SPLITMIX_GAMMA};
 use sc_workload::WorkloadArchetype;
 
 use crate::dataset::Sample;
@@ -38,11 +39,9 @@ impl SplitMix64 {
     }
 
     pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(SPLITMIX_GAMMA);
+        z
     }
 
     /// Uniform index in `[0, n)` (modulo bias is irrelevant at these

@@ -13,9 +13,10 @@
 //! | `nersc` | an open-science HPC centre | up-and-down | supercloud |
 //! | `in2p3` | a HEP grid site | spikes | transient |
 //!
-//! The `supercloud` preset carries a byte-identity guarantee: driving
-//! `repro_figures` through it produces the same stdout, dataset JSON,
-//! and figure text as the flag-driven default, at any thread budget.
+//! Every binary builds its run from a scenario — the `supercloud`
+//! preset unless told otherwise, with CLI flags overriding single
+//! fields — so `repro_figures --scenario supercloud` and a bare
+//! `repro_figures` are the same run, at any thread budget.
 //! [`CrossSystemFig`] runs any set of scenarios through the identical
 //! pipeline and tabulates headline metrics side by side.
 //!

@@ -2,12 +2,13 @@
 //! overrides, arrival process, failure profile, data-quality profile,
 //! and policy arm, composed from one TOML file.
 //!
-//! A scenario is the *declarative* form of a pipeline run. The
-//! `supercloud` preset maps exactly onto the flag-driven defaults —
-//! [`Scenario::workload_spec`] returns [`WorkloadSpec::supercloud`]
-//! and [`Scenario::sim_config`] returns `SimConfig::default()` plus
-//! the detailed-series rule — so driving `repro_figures` through a
-//! scenario file is byte-identical to driving it through flags.
+//! A scenario is the *declarative* form of a pipeline run, and the only
+//! thing the binaries build a run from: the CLIs start from the
+//! `supercloud` preset (or `--scenario`) and each config flag
+//! overrides one field. The `supercloud` preset is the paper's system —
+//! [`Scenario::workload_spec`] returns [`WorkloadSpec::supercloud`] and
+//! [`Scenario::sim_config`] returns `SimConfig::default()` plus the
+//! detailed-series rule.
 
 use crate::error::{ErrorKind, ScenarioError};
 use crate::toml::{parse as parse_toml, render_value, TomlEntry, TomlSection, TomlValue};
@@ -184,8 +185,9 @@ pub struct Scenario {
 }
 
 impl Default for Scenario {
-    /// The flag-driven defaults: exactly what `repro_figures` runs with
-    /// no arguments (and what `scenarios/supercloud.toml` declares).
+    /// The paper's system: what `scenarios/supercloud.toml` declares
+    /// (the preset `repro_figures` runs with no arguments), minus its
+    /// description.
     fn default() -> Self {
         Scenario {
             name: "supercloud".to_string(),
@@ -452,7 +454,7 @@ impl Scenario {
         let classifier = Self::parse_classifier(&doc)?;
         let reliability = Self::parse_reliability(&doc, &failures)?;
 
-        Ok(Scenario {
+        let scenario = Scenario {
             name,
             description,
             seed,
@@ -465,7 +467,37 @@ impl Scenario {
             policy,
             classifier,
             reliability,
-        })
+        };
+        scenario.check_widest_request_fits(&doc)?;
+        Ok(scenario)
+    }
+
+    /// Rejects a GPU tier narrower than the workload's widest
+    /// positive-weight request: such a job could never start.
+    fn check_widest_request_fits(&self, doc: &crate::toml::TomlDoc) -> Result<(), ScenarioError> {
+        let cluster = self.cluster_spec();
+        // Both factors come from the document: saturate, never overflow.
+        let gpus = cluster.nodes.saturating_mul(cluster.node.gpus);
+        let spec = self.workload_spec();
+        let widest = spec.gpu_count_mix.iter().filter(|(_, w)| *w > 0.0).map(|(g, _)| *g).max();
+        let Some(widest) = widest.filter(|&w| w > gpus) else {
+            return Ok(());
+        };
+        let sec = doc.section("cluster");
+        let line = sec
+            .and_then(|sec| sec.entries.iter().find(|e| e.key == "nodes"))
+            .map(|e| e.line)
+            .or(sec.map(|sec| sec.line))
+            .unwrap_or(0);
+        Err(ScenarioError::new(
+            line,
+            "[cluster] nodes",
+            ErrorKind::Range(format!(
+                "widest GPU request {widest} exceeds the cluster's {gpus} GPUs \
+                 ({} nodes x {} GPUs per node)",
+                cluster.nodes, cluster.node.gpus
+            )),
+        ))
     }
 
     fn parse_cluster(doc: &crate::toml::TomlDoc) -> Result<ClusterScenario, ScenarioError> {
@@ -906,8 +938,7 @@ impl Scenario {
     /// The resolved classifier configuration: the `sc-learn` defaults
     /// with this scenario's overrides applied. Identical to
     /// [`sc_learn::ClassifierConfig::default`] when the `[classifier]`
-    /// section sets nothing, so a scenario-driven run matches the
-    /// flag-driven one byte-for-byte.
+    /// section sets nothing.
     pub fn classifier_config(&self) -> sc_learn::ClassifierConfig {
         let mut cfg = sc_learn::ClassifierConfig::default();
         if let Some(v) = self.classifier.trees {
@@ -1001,12 +1032,15 @@ impl Scenario {
         })
     }
 
-    /// The full simulator configuration at `scale` and `seed` —
-    /// identical to what the flag-driven CLI builds: the detailed-series
-    /// subset follows the `2,149 × scale` rule and checkpointing runs
-    /// at the Young interval for the failure model's interrupt rate.
+    /// The full simulator configuration at `scale` and `seed`, the one
+    /// place two run-wide rules live: the detailed-series subset is the
+    /// paper's 2,149 jobs scaled by `scale` (rounded, at least 50), and
+    /// with failures on, checkpointing runs at the Young interval for
+    /// the failure model's per-node interrupt rate, so checkpointable
+    /// victims resume from their last interval instead of restarting.
     pub fn sim_config(&self, scale: f64, seed: u64) -> SimConfig {
-        let detailed = ((2_149.0 * scale).round() as usize).max(50);
+        let detailed_jobs = sc_core::paper::dataset::DETAILED_SERIES_JOBS as f64;
+        let detailed = ((detailed_jobs * scale).round() as usize).max(50);
         let failures = self.failure_model(seed);
         let checkpoint = failures.as_ref().map(|model| {
             let rate: f64 = model.classes.iter().map(|c| 1.0 / c.interarrival.mtbf_secs()).sum();
@@ -1023,6 +1057,14 @@ impl Scenario {
             cfg.size_bucket_edges = edges.clone();
         }
         cfg
+    }
+
+    /// The failure model the reliability study measures: the
+    /// scenario's own, or the default supercloud taxonomy at 0.05x MTBF
+    /// when the scenario is failure-free, so every figure has failures
+    /// to measure.
+    pub fn reliability_failure_model(&self, seed: u64) -> FailureModel {
+        self.failure_model(seed).unwrap_or_else(|| FailureModel::supercloud(seed).scaled_mtbf(0.05))
     }
 
     /// The policy A/B arm.
@@ -1131,12 +1173,7 @@ impl Scenario {
     /// equal iff every parameter matches. Used as the serve-layer memo
     /// cache key dimension.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_toml().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        sc_stats::hash::fnv1a64(self.to_toml().as_bytes())
     }
 
     /// Deterministic human-readable summary (golden-tested per preset).
@@ -1493,6 +1530,19 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err.kind, ErrorKind::Range(_)), "{err}");
         assert_eq!(err.context, "[reliability] write_secs");
+    }
+
+    #[test]
+    fn cluster_must_hold_the_widest_gpu_request() {
+        // The supercloud workload asks for up to 32 GPUs: 8 x 4 holds
+        // it exactly, 7 x 4 does not.
+        let doc = |nodes: u32| {
+            format!("[scenario]\nname = \"x\"\n[cluster]\nnodes = {nodes}\ngpus_per_node = 4\n")
+        };
+        assert!(Scenario::parse(&doc(8)).is_ok());
+        let err = Scenario::parse(&doc(7)).unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::Range(_)), "{err}");
+        assert_eq!((err.line, err.context.as_str()), (4, "[cluster] nodes"));
     }
 
     #[test]

@@ -3,57 +3,11 @@
 //! The CI serve leg proves "byte-identical responses at any thread
 //! budget" without shipping megabytes of response bodies between jobs:
 //! each run folds every response, in request order, into one 64-bit
-//! FNV-1a digest, and the runs' hex digests are compared. FNV-1a is not
-//! cryptographic — it is here to make *accidental* divergence loud, and
-//! its tiny state keeps the bench hot path free of hashing noise.
+//! FNV-1a digest, and the runs' hex digests are compared. The digest
+//! is the workspace's one FNV-1a implementation ([`sc_stats::hash`]),
+//! re-exported here for the serve API.
 
-/// Incremental 64-bit FNV-1a over a byte stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Digest {
-    state: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Digest {
-    fn default() -> Digest {
-        Digest::new()
-    }
-}
-
-impl Digest {
-    /// A digest over the empty stream.
-    pub fn new() -> Digest {
-        Digest { state: FNV_OFFSET }
-    }
-
-    /// Folds `bytes` into the digest. Order matters: `update(a);
-    /// update(b)` equals `update(ab)` but not `update(b); update(a)`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The current digest value.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-
-    /// The current digest as 16 lowercase hex digits.
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.state)
-    }
-}
-
-/// One-shot FNV-1a of a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut d = Digest::new();
-    d.update(bytes);
-    d.finish()
-}
+pub use sc_stats::hash::{fnv1a64, Digest};
 
 #[cfg(test)]
 mod tests {

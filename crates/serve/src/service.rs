@@ -23,7 +23,7 @@
 //! responses memoize and coalesce exactly like successes.
 
 use crate::query::{Query, RelQuery};
-use sc_cluster::{FailureModel, SimConfig, SimOutput, Simulation};
+use sc_cluster::{SimConfig, SimOutput, Simulation};
 use sc_core::pipeline::DatasetReport;
 use sc_core::{corrupt_and_ingest, QueryKey, ReliabilityConfig};
 use sc_obs::stagelog::StageSpan;
@@ -32,7 +32,7 @@ use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
 use sc_policy::PolicyExperiment;
 use sc_scenario::Scenario;
 use sc_telemetry::corruption::DataQualityProfile;
-use sc_workload::{Trace, WorkloadSpec};
+use sc_workload::Trace;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -59,11 +59,11 @@ pub struct ServeConfig {
     /// Record a wall-clock stage span per computed response (feeds the
     /// Chrome trace exporter; off keeps the hot path allocation-free).
     pub tracing: bool,
-    /// Build the world from a declarative scenario instead of the
-    /// flag-default Supercloud pipeline. The scenario's parsed hash
-    /// becomes a cache-key dimension, so two services built from
-    /// different scenario files never share memoized bytes even when
-    /// their names collide.
+    /// The scenario the world is built from; `None` builds the
+    /// `supercloud` preset under its historical `supercloud:s<scale>`
+    /// label. A given scenario's parsed hash becomes a cache-key
+    /// dimension, so two services built from different scenario files
+    /// never share memoized bytes even when their names collide.
     pub scenario: Option<Scenario>,
 }
 
@@ -146,6 +146,7 @@ pub struct Completed {
 pub struct Service {
     config: ServeConfig,
     scenario: String,
+    world: Scenario,
     trace: Trace,
     sim_config: SimConfig,
     out: SimOutput,
@@ -175,31 +176,26 @@ impl Service {
     /// state built here.
     pub fn build(config: ServeConfig) -> Service {
         let t0 = Instant::now();
-        // A declarative scenario supplies the spec and sim config; the
-        // default path stays byte-for-byte what it was before scenarios
-        // existed (and keeps its historical cache-key label).
-        let (mut spec, sim_config, scenario) = match &config.scenario {
-            Some(sc) => (
-                sc.scaled_spec(config.scale),
-                sc.sim_config(config.scale, config.seed),
-                format!("{}#{:016x}:s{}", sc.name, sc.hash(), config.scale),
-            ),
-            None => {
-                let spec = WorkloadSpec::supercloud().scaled(config.scale);
-                // Same detailed-subset scaling rule as `repro_figures`, so a
-                // served figure matches the batch tool's at equal scale/seed.
-                let detailed = ((2_149.0 * config.scale).round() as usize).max(50);
-                let sim_config =
-                    SimConfig { detailed_series_jobs: detailed, ..SimConfig::default() };
-                (spec, sim_config, format!("supercloud:s{}", config.scale))
-            }
+        // Every world is a scenario: the `supercloud` preset unless the
+        // config names another. The default world keeps its historical
+        // cache-key label.
+        let scenario = match &config.scenario {
+            Some(sc) => format!("{}#{:016x}:s{}", sc.name, sc.hash(), config.scale),
+            None => format!("supercloud:s{}", config.scale),
         };
+        let world = config
+            .scenario
+            .clone()
+            .unwrap_or_else(|| Scenario::preset("supercloud").expect("committed preset"));
+        let mut spec = world.scaled_spec(config.scale);
+        let sim_config = world.sim_config(config.scale, config.seed);
         spec.users = spec.users.max(config.users_floor);
         let trace = Trace::generate(&spec, config.seed);
         let out = Simulation::new(sim_config.clone()).run(&trace);
         let threads = if config.threads == 0 { sc_par::current_threads() } else { config.threads };
         Service {
             scenario,
+            world,
             trace,
             sim_config,
             out,
@@ -345,12 +341,7 @@ impl Service {
     /// relies on the memo cache to amortize repeats.
     fn compute_reliability(&self, r: RelQuery) -> String {
         let base = SimConfig { detailed_series_jobs: 0, ..self.sim_config.clone() };
-        let model = self
-            .config
-            .scenario
-            .as_ref()
-            .and_then(|sc| sc.failure_model(self.config.seed))
-            .unwrap_or_else(|| FailureModel::supercloud(self.config.seed).scaled_mtbf(0.05));
+        let model = self.world.reliability_failure_model(self.config.seed);
         let cfg = match &self.config.scenario {
             Some(sc) => sc.reliability_config(),
             // Flag-default world: a small grid keeps cold latency in

@@ -18,6 +18,8 @@
 //! - [`streaming`]: one-pass mergeable aggregators (Welford
 //!   mean/variance, log-bucket quantile sketch, mergeable histogram)
 //!   backing the streaming telemetry collector.
+//! - [`hash`]: the workspace's deterministic hashes (MurmurHash3
+//!   finalizer, FNV-1a digest).
 //! - [`dist`]: parametric distributions (lognormal, Pareto, beta, …)
 //!   built on [`rand`]'s uniform source, used by the workload generator.
 //!
@@ -46,6 +48,7 @@ pub mod descriptive;
 pub mod dist;
 pub mod ecdf;
 pub mod error;
+pub mod hash;
 pub mod histogram;
 pub mod kstest;
 pub mod lorenz;

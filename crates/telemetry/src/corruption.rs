@@ -22,6 +22,7 @@ use crate::dataset::Dataset;
 use crate::metrics::GpuMetricSample;
 use crate::record::{GpuJobRecord, JobId, SchedulerRecord};
 use crate::sampler::GpuTimeSeries;
+use sc_stats::hash::hash_unit;
 use serde::{Deserialize, Serialize};
 
 /// How dirty the simulated collection pipeline is.
@@ -383,15 +384,6 @@ const SALT_WINDOW_POS: u64 = 0x7770_6f73;
 const SALT_WINDOW_LEN: u64 = 0x776c_656e;
 const SALT_TAIL: u64 = 0x7461_696c;
 const SALT_TAIL_AMT: u64 = 0x7466_7263;
-
-/// The same 64-bit finalizer the simulator uses for per-job draws:
-/// deterministic, order-free, thread-count-free.
-fn hash_unit(mut x: u64) -> f64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// The seeded fault injector.
 #[derive(Debug, Clone, Copy)]

@@ -12,6 +12,7 @@ use crate::user::UserProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sc_stats::dist::{Beta, Categorical, LogNormal, Sample};
+use sc_stats::hash::{hash_unit, splitmix64};
 use sc_telemetry::metrics::GpuResource;
 use sc_telemetry::record::{JobId, SubmissionInterface, UserId};
 use serde::{Deserialize, Serialize};
@@ -159,7 +160,7 @@ impl<'a> JobFactory<'a> {
             0
         };
 
-        let truth_seed = splitmix(job_id.0 ^ 0x9e37_79b9_7f4a_7c15);
+        let truth_seed = splitmix64(job_id.0 ^ 0x9e37_79b9_7f4a_7c15);
         // The archetype and its signature hash off the seed rather than
         // drawing from `rng`, like the recovery attributes below: adding
         // them must not shift the RNG stream any existing trace field is
@@ -224,7 +225,7 @@ impl<'a> JobFactory<'a> {
             archetype: None,
             truth_params: None,
             idle_gpus: 0,
-            truth_seed: splitmix(job_id.0),
+            truth_seed: splitmix64(job_id.0),
             checkpointable: false,
             max_restarts: DEFAULT_MAX_RESTARTS,
         }
@@ -481,22 +482,6 @@ fn default_max_restarts(interface: SubmissionInterface) -> u32 {
         SubmissionInterface::Interactive => 0,
         _ => DEFAULT_MAX_RESTARTS,
     }
-}
-
-/// Hashes a seed to a unit-interval float (murmur3 finalizer).
-fn hash_unit(mut x: u64) -> f64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// SplitMix64 finalizer for deriving per-job seeds from ids.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use crate::spec::WorkloadSpec;
 use crate::user::{UserPopulation, UserProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sc_stats::hash::fmix64;
 use sc_telemetry::record::JobId;
 
 /// A generated trace: the population and every job, sorted by arrival.
@@ -91,15 +92,9 @@ impl Trace {
     /// (<0.5% on Supercloud): hashes each job id against the trace seed
     /// so the scheduler and tests agree without shared state.
     pub fn is_hardware_victim(&self, job_id: JobId) -> bool {
-        let h = hash64(self.seed ^ job_id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let h = fmix64(self.seed ^ job_id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         (h as f64 / u64::MAX as f64) < self.spec.hardware_failure_probability
     }
-}
-
-fn hash64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^ (x >> 33)
 }
 
 #[cfg(test)]

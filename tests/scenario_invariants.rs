@@ -79,7 +79,9 @@ proptest! {
         sc.workload.total_jobs = Some(total_jobs as usize);
         sc.workload.gpu_job_fraction = Some(gpu_frac);
         sc.workload.diurnal_amplitude = Some(diurnal_amp);
-        sc.cluster.nodes = Some((users % 1_000 + 1) as u32);
+        // At least 16 two-GPU nodes: both workload presets ask for up to
+        // 32 GPUs, and a narrower cluster fails validation.
+        sc.cluster.nodes = Some((users % 1_000 + 16) as u32);
         let toml = sc.to_toml();
         let back = Scenario::parse(&toml)
             .unwrap_or_else(|e| panic!("canonical form must reparse: {e}\n{toml}"));
@@ -188,6 +190,10 @@ fn malformed_corpus_yields_typed_line_and_field_errors() {
             "[cluster]: missing slow_tier_nodes and slow_tier_speed",
         ),
         ("[scenario]\nname = \"x\"\n[policy]\narm = \"warpdrive\"\n", "[policy] arm"),
+        (
+            "[scenario]\nname = \"x\"\n[cluster]\nnodes = 2\ngpus_per_node = 4\n",
+            "line 4: [cluster] nodes: out of range",
+        ),
         ("[scenario]\nname = \"x\"\nscale = 1.0e999\n", "line 3"),
         ("[scenario\nname = \"x\"\n", "line 1"),
         ("[scenario]\nname = \"x\" trailing\n", "line 2"),

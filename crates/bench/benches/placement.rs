@@ -8,7 +8,7 @@
 //! backfill. The baseline arm runs the cluster's own packing; the
 //! coshare arm additionally consults [`CosharePolicy`] on every probe —
 //! slot scans, ground-truth synthesis, and pair-interference scoring
-//! included, exactly as `Simulation::run_policy` would. The delta
+//! included, exactly as `Simulation::run_with` would. The delta
 //! between the two medians is the policy's placement overhead, which
 //! `scripts/check_bench.py --placement` gates in CI.
 
@@ -16,6 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sc_bench::bench_trace;
 use sc_cluster::{ClusterSpec, ClusterState, Policy, RunningJob, Scheduler};
 use sc_policy::CosharePolicy;
+use sc_telemetry::record::ExitStatus;
 use sc_workload::JobSpec;
 use std::hint::black_box;
 
@@ -65,6 +66,9 @@ fn contended_passes(
                     estimated_end: job.time_limit,
                     stretch: 1.0,
                     power_cap_w: None,
+                    end_time: job.time_limit,
+                    exit: ExitStatus::Completed,
+                    attempt: 1,
                 },
             );
         }

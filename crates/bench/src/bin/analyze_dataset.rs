@@ -42,6 +42,7 @@ fn main() {
         dataset.funnel().gpu_jobs,
         dataset.funnel().unique_users
     );
-    let report = DatasetReport::from_dataset(&dataset);
+    let report = DatasetReport::try_from_dataset(&dataset)
+        .unwrap_or_else(|e| CLI.fail(&format!("figure pipeline: {e}")));
     println!("{}", report.render_text());
 }

@@ -923,10 +923,8 @@ fn main() {
     });
     let t0 = std::time::Instant::now();
     let sim_start = stage_log.elapsed_secs();
-    let (out, timings) = match &sink {
-        Some(s) => sim.run_observed(&trace, &Obs::new(s)),
-        None => sim.run_timed(&trace),
-    };
+    let obs = sink.as_ref().map_or(Obs::off(), |s| Obs::new(s));
+    let (out, timings) = sim.run_with(&trace, &obs, None);
     stage_log.push("sim_event_loop", sim_start, timings.event_loop_secs);
     stage_log.push("telemetry", sim_start + timings.event_loop_secs, timings.telemetry_secs);
     if let Some(s) = &sink {
@@ -1036,10 +1034,7 @@ fn main() {
             policy,
         );
         exp.classifier = classifier_cfg.clone();
-        let result = match &sink {
-            Some(s) => exp.run_observed(&trace, &Obs::new(s)),
-            None => exp.run(&trace),
-        };
+        let result = exp.run(&trace, &obs);
         eprintln!("policy A/B done in {:?}", t0.elapsed());
         println!("{}", result.fig.render());
         if let Some(fig) = &result.oracle_fig {

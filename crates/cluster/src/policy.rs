@@ -80,7 +80,7 @@ pub enum PolicyDecision {
 }
 
 /// A closed-loop scheduling policy, driven by the event loop through
-/// [`crate::sim::Simulation::run_policy`].
+/// [`crate::sim::Simulation::run_with`].
 ///
 /// All methods default to no-ops so a policy implements only the hooks
 /// it needs. Implementations must be deterministic (see the module

@@ -68,11 +68,13 @@ pub struct NodeState {
     pub gpus_free: u32,
 }
 
-/// Mutable cluster state: free resources per node.
+/// Mutable cluster state: free resources and liveness per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterState {
     spec: ClusterSpec,
     nodes: Vec<NodeState>,
+    /// Out-of-service flag per node, kept by `set_offline`/`set_online`.
+    offline: Vec<bool>,
 }
 
 impl ClusterState {
@@ -86,8 +88,9 @@ impl ClusterState {
                 mem_free_gib: spec.node.mem_gib,
                 gpus_free: spec.gpus_of_node(i),
             })
-            .collect();
-        ClusterState { spec, nodes }
+            .collect::<Vec<_>>();
+        let offline = vec![false; nodes.len()];
+        ClusterState { spec, nodes, offline }
     }
 
     /// The hardware spec.
@@ -210,15 +213,29 @@ impl ClusterState {
         None
     }
 
-    /// Takes a node offline (hardware failure): zeroes its free
-    /// capacity so nothing new places there. Resident jobs must have
-    /// been killed (their allocations released) first.
+    /// Whether `node` is out of service.
+    pub fn is_offline(&self, node: NodeId) -> bool {
+        self.offline[node.0 as usize]
+    }
+
+    /// Number of nodes out of service.
+    pub fn nodes_down(&self) -> usize {
+        self.offline.iter().filter(|&&down| down).count()
+    }
+
+    /// Takes a node offline (hardware failure): marks it out of service
+    /// and zeroes its free capacity so nothing new places there.
+    /// Resident jobs must have been killed (their allocations released)
+    /// first. A node that is already offline stays as it is.
     ///
     /// # Panics
     ///
     /// Panics if the node still has resources allocated — killing the
     /// residents is the caller's responsibility.
     pub fn set_offline(&mut self, node: NodeId) {
+        if self.is_offline(node) {
+            return;
+        }
         let full_gpus = self.spec.gpus_of_node(node.0);
         let n = &mut self.nodes[node.0 as usize];
         assert!(
@@ -228,15 +245,21 @@ impl ClusterState {
         n.gpus_free = 0;
         n.cpus_free = 0;
         n.mem_free_gib = 0.0;
+        self.offline[node.0 as usize] = true;
     }
 
-    /// Brings a repaired node back online at full capacity.
+    /// Brings a repaired node back online at full capacity. A node that
+    /// is already online stays as it is.
     pub fn set_online(&mut self, node: NodeId) {
+        if !self.is_offline(node) {
+            return;
+        }
         let full_gpus = self.spec.gpus_of_node(node.0);
         let n = &mut self.nodes[node.0 as usize];
         n.gpus_free = full_gpus;
         n.cpus_free = self.spec.node.cpu_threads;
         n.mem_free_gib = self.spec.node.mem_gib;
+        self.offline[node.0 as usize] = false;
     }
 
     /// Commits an allocation.
@@ -410,6 +433,43 @@ mod tests {
         assert!(c.try_place(&gpu_job(1, 8)).is_none());
         // But a thin GPU job can.
         assert!(c.try_place(&gpu_job(1, 4)).is_some());
+    }
+
+    #[test]
+    fn offline_round_trip_tracks_liveness_and_capacity() {
+        let mut c = small_cluster(3);
+        let fresh = c.clone();
+        assert_eq!(c.nodes_down(), 0);
+        c.set_offline(NodeId(1));
+        assert!(c.is_offline(NodeId(1)));
+        assert!(!c.is_offline(NodeId(0)) && !c.is_offline(NodeId(2)));
+        assert_eq!(c.nodes_down(), 1);
+        assert_eq!(c.gpus_free(), 4, "an offline node offers no GPUs");
+        // A second fault on a node that is already down changes nothing.
+        c.set_offline(NodeId(1));
+        assert_eq!(c.nodes_down(), 1);
+        assert_eq!(c.gpus_free(), 4);
+        c.set_offline(NodeId(2));
+        assert_eq!(c.nodes_down(), 2);
+        // Nothing places on the offline nodes.
+        let a = c.try_place(&gpu_job(2, 8)).unwrap();
+        assert!(a.parts.iter().all(|p| p.node == NodeId(0)));
+        c.set_online(NodeId(1));
+        c.set_online(NodeId(2));
+        assert_eq!(c.nodes_down(), 0);
+        assert_eq!(c, fresh, "repair restores the node at full capacity");
+        // Repairing a node that is already online changes nothing.
+        c.set_online(NodeId(1));
+        assert_eq!(c, fresh);
+    }
+
+    #[test]
+    #[should_panic(expected = "still hosts allocations")]
+    fn offlining_an_occupied_node_is_a_bug() {
+        let mut c = small_cluster(1);
+        let a = c.try_place(&gpu_job(1, 4)).unwrap();
+        c.allocate(&a);
+        c.set_offline(NodeId(0));
     }
 
     #[test]

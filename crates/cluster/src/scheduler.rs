@@ -9,7 +9,7 @@
 
 use crate::policy::Policy;
 use crate::resources::{Allocation, ClusterState};
-use sc_telemetry::record::JobId;
+use sc_telemetry::record::{ExitStatus, JobId};
 use sc_workload::JobSpec;
 use std::collections::HashMap;
 
@@ -41,6 +41,13 @@ pub struct RunningJob {
     /// here so the completion record (and hence the telemetry epilog)
     /// knows to clamp the job's synthesized power.
     pub power_cap_w: Option<f64>,
+    /// When the attempt ends, decided when it started.
+    pub end_time: f64,
+    /// How the attempt ends if no injected failure kills it first.
+    pub exit: ExitStatus,
+    /// Which attempt (1-based) this is. A `Finish` event carrying a
+    /// different tag is stale: the attempt it scheduled already died.
+    pub attempt: u32,
 }
 
 /// Decisions produced by one scheduling pass.
@@ -95,6 +102,11 @@ impl Scheduler {
     /// Registers a started job.
     pub fn mark_running(&mut self, job_id: JobId, running: RunningJob) {
         self.running.insert(job_id, running);
+    }
+
+    /// The running entry of `job_id`, if it is running.
+    pub(crate) fn running(&self, job_id: JobId) -> Option<&RunningJob> {
+        self.running.get(&job_id)
     }
 
     /// Removes a finished job, returning its bookkeeping.
@@ -304,6 +316,9 @@ mod tests {
                 estimated_end: 1000.0,
                 stretch: 1.0,
                 power_cap_w: None,
+                end_time: 500.0,
+                exit: ExitStatus::Completed,
+                attempt: 1,
             },
         );
         s.submit(1, 1.0);
@@ -331,6 +346,9 @@ mod tests {
                 estimated_end: 1000.0,
                 stretch: 1.0,
                 power_cap_w: None,
+                end_time: 500.0,
+                exit: ExitStatus::Completed,
+                attempt: 1,
             },
         );
         s.submit(1, 1.0);
@@ -361,6 +379,9 @@ mod tests {
                 estimated_end: 1000.0,
                 stretch: 1.0,
                 power_cap_w: None,
+                end_time: 500.0,
+                exit: ExitStatus::Completed,
+                attempt: 1,
             },
         );
         s.submit(1, 1.0);
@@ -386,6 +407,9 @@ mod tests {
                 estimated_end: 100.0,
                 stretch: 1.0,
                 power_cap_w: None,
+                end_time: 500.0,
+                exit: ExitStatus::Completed,
+                attempt: 1,
             },
         );
         assert_eq!(s.running_len(), 1);

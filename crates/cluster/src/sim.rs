@@ -6,7 +6,7 @@ use crate::event::{Event, EventQueue};
 use crate::failure::{FailureModel, ScheduledFailure};
 use crate::policy::{Dispatch, Policy, PolicyDecision};
 use crate::reliability::{size_bucket, ReliabilityStats, SIZE_BUCKET_COUNT, SIZE_BUCKET_EDGES};
-use crate::resources::ClusterState;
+use crate::resources::{Allocation, ClusterState, NodeId};
 use crate::scheduler::{RunningJob, Scheduler};
 use crate::spec::ClusterSpec;
 use sc_obs::{Obs, Timeline, TimelineSample};
@@ -18,7 +18,6 @@ use sc_telemetry::sampler::{tick_count, GpuSampler};
 use sc_telemetry::stream::{stream_detail, TelemetryStreamSummary};
 use sc_workload::{JobSpec, PlannedOutcome, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +79,20 @@ impl Default for SimConfig {
             failures: None,
             checkpoint: None,
             size_bucket_edges: SIZE_BUCKET_EDGES.to_vec(),
+        }
+    }
+}
+
+impl SimConfig {
+    /// Wall-clock seconds of an `elapsed`-second attempt that a
+    /// checkpoint preserved: the last completed interval boundary, or 0
+    /// when the job does not checkpoint.
+    fn checkpoint_saved_wall(&self, job: &JobSpec, elapsed: f64) -> f64 {
+        match self.checkpoint {
+            Some(cp) if job.checkpointable && cp.interval_secs > 0.0 => {
+                ((elapsed / cp.interval_secs).floor() * cp.interval_secs).min(elapsed)
+            }
+            _ => 0.0,
         }
     }
 }
@@ -332,457 +345,41 @@ impl Simulation {
 
     /// Replays `trace` to completion and builds the dataset.
     pub fn run(&self, trace: &Trace) -> SimOutput {
-        self.run_timed(trace).0
+        self.run_with(trace, &Obs::off(), None).0
     }
 
     /// Like [`Simulation::run`], also reporting per-stage wall-clock
     /// timings. The output is identical to `run`'s for the same trace.
     pub fn run_timed(&self, trace: &Trace) -> (SimOutput, SimTimings) {
-        self.run_observed(trace, &Obs::off())
+        self.run_with(trace, &Obs::off(), None)
     }
 
-    /// Like [`Simulation::run_timed`], emitting trace records into
-    /// `obs` as the event loop runs.
+    /// Replays `trace` to completion, emitting trace records into `obs`
+    /// and, with `policy` set, running a closed-loop [`Policy`] inside
+    /// the event loop; also reports per-stage wall-clock timings.
     ///
     /// Every record is keyed to sim time and emitted from the
     /// single-threaded event loop, so for a given trace the record
     /// stream is byte-identical at any `sc_par` thread budget. With
     /// [`Obs::off`] each instrumentation site costs one enum compare
     /// and the output equals `run_timed`'s exactly.
-    pub fn run_observed(&self, trace: &Trace, obs: &Obs<'_>) -> (SimOutput, SimTimings) {
-        self.run_inner(trace, obs, None)
-    }
-
-    /// Like [`Simulation::run_observed`], with a closed-loop [`Policy`]
-    /// riding inside the event loop. The policy sees every admission,
-    /// scheduler tick, and release; may override placement; and its
-    /// dispatch directives (stretch, per-job power cap) change the
-    /// simulated outcomes. Each decision is recorded as an `sc-obs`
-    /// event (`cap_throttle`, `coshare_place`, `tier_route`) and
-    /// counted in [`SimStats`].
-    pub fn run_policy(
+    ///
+    /// The policy sees every admission, scheduler tick, and release;
+    /// may override placement; and its dispatch directives (stretch,
+    /// per-job power cap) change the simulated outcomes. Each decision
+    /// is recorded as an `sc-obs` event (`cap_throttle`,
+    /// `coshare_place`, `tier_route`) and counted in [`SimStats`].
+    pub fn run_with(
         &self,
         trace: &Trace,
         obs: &Obs<'_>,
-        policy: &mut dyn Policy,
-    ) -> (SimOutput, SimTimings) {
-        self.run_inner(trace, obs, Some(policy))
-    }
-
-    fn run_inner(
-        &self,
-        trace: &Trace,
-        obs: &Obs<'_>,
-        mut policy: Option<&mut (dyn Policy + '_)>,
+        policy: Option<&mut (dyn Policy + '_)>,
     ) -> (SimOutput, SimTimings) {
         let wall = std::time::Instant::now();
-        let jobs = trace.jobs();
-        let mut cluster = ClusterState::new(self.config.cluster.clone());
-        let mut scheduler = Scheduler::with_policy(self.config.policy);
-        let mut queue = EventQueue::new();
-        for (i, j) in jobs.iter().enumerate() {
-            queue.push(j.arrival, Event::Submit(i));
-        }
-
-        // The detailed subset is drawn from the *analyzed* GPU jobs
-        // (post 30 s filter), so discount the short-job slice.
-        let expected_analyzed = (trace.spec().expected_gpu_jobs() as f64
-            * (1.0 - trace.spec().short_gpu_job_fraction))
-            .max(1.0);
-        let detailed_fraction =
-            (self.config.detailed_series_jobs as f64 / expected_analyzed).min(1.0);
-        let sampler = GpuSampler::with_period(self.config.gpu_sample_period_secs);
-
-        let mut completions: Vec<Completion> = Vec::with_capacity(jobs.len());
-        let mut fates: Vec<JobFate> = Vec::with_capacity(jobs.len());
-        let mut progress: Vec<JobProgress> = vec![JobProgress::default(); jobs.len()];
-        // A job's pre-scheduled end, tagged with the attempt that
-        // scheduled it. A `Finish` whose attempt does not match (or
-        // whose entry is gone) is stale — the attempt already died to a
-        // failure — and is absorbed. The tag, not a kill-set, is what
-        // keeps double failures and requeues from confusing stale
-        // finishes with live ones.
-        let mut pending_end: HashMap<JobId, (f64, ExitStatus, u32)> = HashMap::new();
-        let mut down: std::collections::HashSet<crate::resources::NodeId> =
-            std::collections::HashSet::new();
-        let mut stats = SimStats::default();
-        let mut goodput = GoodputAccounting::default();
-        let mut reliability = ReliabilityStats::new(&self.config.size_bucket_edges);
-        // One timeline point per ~1/512 of the horizon: enough for the
-        // figure, bounded memory at any scale. Collected even with
-        // tracing off — the ClusterTimeline figure always needs it and
-        // the cost is one float compare per event.
-        let mut timeline = Timeline::new((trace.spec().duration_secs() / 512.0).max(1.0));
-        let mut requeue_backlog: u64 = 0;
-
-        // Pre-schedule injected failures, if enabled. The schedule is a
-        // pure function of (model, fleet, horizon) — see
-        // [`FailureModel::schedule`].
-        let failure_schedule: Vec<ScheduledFailure> = match &self.config.failures {
-            Some(model) => model.schedule(
-                self.config.cluster.total_nodes(),
-                self.config.cluster.total_gpus(),
-                trace.spec().duration_secs() * 1.2,
-            ),
-            None => Vec::new(),
-        };
-        for (i, f) in failure_schedule.iter().enumerate() {
-            queue.push(f.time, Event::Fault(i));
-        }
-
-        while let Some((now, event)) = queue.pop() {
-            stats.events += 1;
-            match event {
-                Event::Submit(idx) => {
-                    let requeued = progress[idx].in_backoff;
-                    if requeued {
-                        progress[idx].in_backoff = false;
-                        requeue_backlog -= 1;
-                    }
-                    if obs.events_on() {
-                        let j = &jobs[idx];
-                        obs.event(
-                            now,
-                            "submit",
-                            vec![
-                                ("job", j.job_id.0.into()),
-                                ("gpus", j.gpus.into()),
-                                ("requeued", u64::from(requeued).into()),
-                            ],
-                        );
-                    }
-                    if let Some(p) = policy.as_deref_mut() {
-                        p.admit(&jobs[idx], now);
-                    }
-                    scheduler.submit(idx, now);
-                    // The scheduling loop wakes up a beat later.
-                    queue.push(now + self.config.sched_latency_secs, Event::Tick);
-                    continue;
-                }
-                Event::Tick => {
-                    if let Some(p) = policy.as_deref_mut() {
-                        p.tick(now, &cluster);
-                    }
-                }
-                Event::Finish { job, attempt } => {
-                    match pending_end.get(&job) {
-                        Some(&(_, _, live)) if live == attempt => {}
-                        _ => continue, // stale: the attempt died earlier
-                    }
-                    let running = scheduler.finish(job);
-                    cluster.release(&running.alloc);
-                    let (end_time, exit, _) = pending_end.remove(&job).expect("checked above");
-                    debug_assert!((end_time - now).abs() < 1e-6);
-                    let spec = &jobs[running.trace_idx];
-                    self.settle_attempt(
-                        &mut goodput,
-                        &mut reliability,
-                        spec,
-                        now - running.start_time,
-                        exit_cause(exit),
-                    );
-                    let prog = progress[running.trace_idx];
-                    if obs.events_on() {
-                        obs.event(
-                            now,
-                            "finish",
-                            vec![("job", job.0.into()), ("exit", exit.label().into())],
-                        );
-                    }
-                    if obs.spans_on() {
-                        obs.end(
-                            now,
-                            "attempt",
-                            vec![
-                                ("job", job.0.into()),
-                                ("attempt", attempt.into()),
-                                ("exit", exit.label().into()),
-                            ],
-                        );
-                    }
-                    completions.push(Completion {
-                        trace_idx: running.trace_idx,
-                        start_time: running.start_time,
-                        end_time,
-                        exit,
-                        cap_w: running.power_cap_w,
-                    });
-                    fates.push(JobFate {
-                        job_id: job,
-                        attempts: prog.attempts,
-                        injected_failures: prog.injected_failures,
-                        exit,
-                        last_cause: exit_cause(exit).or(prog.last_cause),
-                    });
-                    if let Some(p) = policy.as_deref_mut() {
-                        p.release(job, now);
-                    }
-                }
-                Event::Fault(fi) => {
-                    let f = failure_schedule[fi];
-                    if obs.events_on() {
-                        obs.event(
-                            now,
-                            "fault",
-                            vec![("cause", f.cause.label().into()), ("node", f.node.0.into())],
-                        );
-                    }
-                    let requeues_before = stats.requeues;
-                    if down.contains(&f.node) {
-                        stats.absorbed_faults += 1;
-                        continue; // node already out of service
-                    }
-                    if f.cause == FailureCause::GpuXid {
-                        // A single GPU faults: exactly one GPU-holding
-                        // resident dies; the node stays in service.
-                        let victims = scheduler.gpu_residents_on_node(f.node);
-                        if victims.is_empty() {
-                            stats.absorbed_faults += 1;
-                            continue;
-                        }
-                        let victim = victims[(f.pick % victims.len() as u64) as usize];
-                        self.kill_attempt(
-                            victim,
-                            f.cause,
-                            now,
-                            obs,
-                            &mut scheduler,
-                            &mut cluster,
-                            jobs,
-                            &mut progress,
-                            &mut pending_end,
-                            &mut goodput,
-                            &mut reliability,
-                            &mut stats,
-                            &mut queue,
-                            &mut completions,
-                            &mut fates,
-                        );
-                        if let Some(p) = policy.as_deref_mut() {
-                            p.release(victim, now);
-                        }
-                    } else {
-                        // Whole-node event: every resident dies and the
-                        // node leaves service for repair.
-                        let residents = scheduler.running_on_node(f.node);
-                        if residents.is_empty() {
-                            stats.absorbed_faults += 1;
-                        }
-                        for job_id in residents {
-                            self.kill_attempt(
-                                job_id,
-                                f.cause,
-                                now,
-                                obs,
-                                &mut scheduler,
-                                &mut cluster,
-                                jobs,
-                                &mut progress,
-                                &mut pending_end,
-                                &mut goodput,
-                                &mut reliability,
-                                &mut stats,
-                                &mut queue,
-                                &mut completions,
-                                &mut fates,
-                            );
-                            if let Some(p) = policy.as_deref_mut() {
-                                p.release(job_id, now);
-                            }
-                        }
-                        down.insert(f.node);
-                        cluster.set_offline(f.node);
-                        if obs.spans_on() {
-                            obs.begin(
-                                now,
-                                "node_down",
-                                vec![("node", f.node.0.into()), ("cause", f.cause.label().into())],
-                            );
-                        }
-                        queue.push(now + f.repair_secs.max(1.0), Event::NodeRepair(f.node));
-                    }
-                    requeue_backlog += stats.requeues - requeues_before;
-                }
-                Event::NodeRepair(node) => {
-                    down.remove(&node);
-                    cluster.set_online(node);
-                    if obs.spans_on() {
-                        obs.end(now, "node_down", vec![("node", node.0.into())]);
-                    }
-                }
-            }
-            // One scheduling pass after every event.
-            let pass = scheduler.schedule_with(now, &mut cluster, jobs, policy.as_deref_mut());
-            for (idx, alloc) in pass.started {
-                let job = &jobs[idx];
-                // Slow-tier physics: compute-bound work stretches by
-                // 1/speed; idle (data/CPU) time is speed-invariant.
-                let tier_stretch = match self.config.cluster.slow_tier {
-                    Some(tier)
-                        if alloc
-                            .parts
-                            .iter()
-                            .any(|p| self.config.cluster.is_slow_node(p.node.0)) =>
-                    {
-                        stats.slow_tier_jobs += 1;
-                        let af = job
-                            .truth_params
-                            .as_ref()
-                            .map_or(0.0, |p| p.active_fraction.clamp(0.0, 1.0));
-                        af / tier.speed.max(1e-6) + (1.0 - af)
-                    }
-                    _ => 1.0,
-                };
-                // Dispatch directive: the policy may stretch the run
-                // further (DVFS throttling, co-location interference)
-                // and impose a per-job power cap on its telemetry.
-                let directive = match policy.as_deref_mut() {
-                    Some(p) => p.dispatch(job, &alloc, now),
-                    None => Dispatch::default(),
-                };
-                let stretch = tier_stretch * directive.stretch.max(1.0);
-                match directive.decision {
-                    Some(PolicyDecision::CapThrottle { cap_w, slowdown }) => {
-                        stats.policy_cap_throttles += 1;
-                        if obs.events_on() {
-                            obs.event(
-                                now,
-                                "cap_throttle",
-                                vec![
-                                    ("job", job.job_id.0.into()),
-                                    ("cap_w", cap_w.into()),
-                                    ("slowdown", slowdown.into()),
-                                ],
-                            );
-                        }
-                    }
-                    Some(PolicyDecision::CosharePlace { host, slowdown }) => {
-                        stats.policy_coshares += 1;
-                        if obs.events_on() {
-                            obs.event(
-                                now,
-                                "coshare_place",
-                                vec![
-                                    ("job", job.job_id.0.into()),
-                                    ("host", host.0.into()),
-                                    ("slowdown", slowdown.into()),
-                                ],
-                            );
-                        }
-                    }
-                    Some(PolicyDecision::TierRoute { slow }) => {
-                        stats.policy_tier_routes += 1;
-                        if obs.events_on() {
-                            obs.event(
-                                now,
-                                "tier_route",
-                                vec![
-                                    ("job", job.job_id.0.into()),
-                                    ("slow", u64::from(slow).into()),
-                                ],
-                            );
-                        }
-                    }
-                    None => {}
-                }
-                progress[idx].attempts += 1;
-                let attempt = progress[idx].attempts;
-                reliability.observe_attempt_start(job.gpus);
-                if let Some(killed_at) = progress[idx].killed_at.take() {
-                    reliability.observe_recovery(job.gpus, (now - killed_at).max(0.0));
-                }
-                if progress[idx].completed_work > 0.0 {
-                    stats.checkpoint_restores += 1;
-                    if obs.events_on() {
-                        obs.event(
-                            now,
-                            "checkpoint_restore",
-                            vec![
-                                ("job", job.job_id.0.into()),
-                                ("attempt", attempt.into()),
-                                ("saved_work_secs", progress[idx].completed_work.into()),
-                            ],
-                        );
-                    }
-                }
-                if obs.spans_on() {
-                    obs.begin(
-                        now,
-                        "attempt",
-                        vec![
-                            ("job", job.job_id.0.into()),
-                            ("attempt", attempt.into()),
-                            ("gpus", job.gpus.into()),
-                        ],
-                    );
-                }
-                let (end_time, exit) =
-                    self.decide_end(trace, job, now, stretch, progress[idx].completed_work);
-                scheduler.mark_running(
-                    job.job_id,
-                    RunningJob {
-                        trace_idx: idx,
-                        alloc,
-                        start_time: now,
-                        estimated_end: now + job.time_limit,
-                        stretch,
-                        power_cap_w: directive.power_cap_w,
-                    },
-                );
-                pending_end.insert(job.job_id, (end_time, exit, attempt));
-                queue.push(end_time, Event::Finish { job: job.job_id, attempt });
-            }
-            stats.peak_gpus_in_use = stats.peak_gpus_in_use.max(cluster.gpus_in_use());
-            if now > stats.makespan_secs {
-                stats.makespan_secs = now;
-            }
-            timeline.observe_depth(scheduler.pending_len() as u64);
-            timeline.maybe_sample(now, || TimelineSample {
-                t: now,
-                queued: scheduler.pending_len() as u64,
-                running: scheduler.running_len() as u64,
-                gpus_in_use: cluster.gpus_in_use() as u64,
-                gpus_free: cluster.gpus_free() as u64,
-                nodes_down: down.len() as u64,
-                requeue_backlog,
-                injected_failures: stats.injected_failures,
-                checkpoint_restores: stats.checkpoint_restores,
-            });
-        }
-        assert_eq!(scheduler.running_len(), 0, "all jobs must terminate");
-        assert_eq!(scheduler.pending_len(), 0, "no job may be left queued");
-        assert_eq!(fates.len(), jobs.len(), "every job must have exactly one fate");
-        for j in jobs {
-            reliability.observe_job(j.gpus);
-        }
-        timeline.sample_final(TimelineSample {
-            t: stats.makespan_secs,
-            queued: 0,
-            running: 0,
-            gpus_in_use: 0,
-            gpus_free: cluster.gpus_free() as u64,
-            nodes_down: down.len() as u64,
-            requeue_backlog,
-            injected_failures: stats.injected_failures,
-            checkpoint_restores: stats.checkpoint_restores,
-        });
-        if obs.events_on() {
-            obs.event(
-                stats.makespan_secs,
-                "sim_end",
-                vec![
-                    ("events", stats.events.into()),
-                    ("injected_failures", stats.injected_failures.into()),
-                    ("absorbed_faults", stats.absorbed_faults.into()),
-                    ("requeues", stats.requeues.into()),
-                    ("checkpoint_restores", stats.checkpoint_restores.into()),
-                ],
-            );
-        }
-        debug_assert!(
-            goodput.balance_error() <= 1e-6 * goodput.allocated_gpu_secs.max(1.0),
-            "goodput ledger out of balance: {goodput:?}"
-        );
+        let mut event_loop = EventLoop::new(&self.config, trace, *obs, policy);
+        event_loop.run();
+        let EventLoop { completions, fates, mut stats, goodput, timeline, reliability, .. } =
+            event_loop;
         let event_loop_secs = wall.elapsed().as_secs_f64();
 
         // Streaming telemetry synthesis, decoupled from the event
@@ -793,23 +390,22 @@ impl Simulation {
         // materialize-everything batch at any thread count while
         // bounding in-flight epilogs to O(threads x channel capacity).
         let batch_t0 = std::time::Instant::now();
+        let jobs = trace.jobs();
+        // The detailed subset is drawn from the *analyzed* GPU jobs
+        // (post 30 s filter), so discount the short-job slice.
+        let expected_analyzed = (trace.spec().expected_gpu_jobs() as f64
+            * (1.0 - trace.spec().short_gpu_job_fraction))
+            .max(1.0);
+        let detailed_fraction =
+            (self.config.detailed_series_jobs as f64 / expected_analyzed).min(1.0);
+        let sampler = GpuSampler::with_period(self.config.gpu_sample_period_secs);
         let mut sched_records: Vec<SchedulerRecord> = Vec::with_capacity(jobs.len());
         let mut gpu_records: Vec<GpuJobRecord> = Vec::new();
         let mut detailed: Vec<DetailedJobStats> = Vec::new();
         let mut telemetry_summary = TelemetryStreamSummary::new();
         sc_par::par_stream(
             &completions,
-            |c| {
-                self.synthesize_epilog(
-                    &jobs[c.trace_idx],
-                    c.start_time,
-                    c.end_time,
-                    c.exit,
-                    c.cap_w,
-                    detailed_fraction,
-                    &sampler,
-                )
-            },
+            |c| synthesize_epilog(&jobs[c.trace_idx], c, detailed_fraction, &sampler),
             |_, epilog| {
                 // Scalar stats and the streaming summary accumulate in
                 // input order (par_stream reorders deliveries), exactly
@@ -846,17 +442,536 @@ impl Simulation {
             SimTimings { event_loop_secs, telemetry_secs },
         )
     }
+}
 
-    /// Wall-clock seconds of an `elapsed`-second attempt that a
-    /// checkpoint preserved: the last completed interval boundary, or 0
-    /// when the job does not checkpoint.
-    fn checkpoint_saved_wall(&self, job: &JobSpec, elapsed: f64) -> f64 {
-        match self.config.checkpoint {
-            Some(cp) if job.checkpointable && cp.interval_secs > 0.0 => {
-                ((elapsed / cp.interval_secs).floor() * cp.interval_secs).min(elapsed)
-            }
-            _ => 0.0,
+/// The state of one run's event loop, each piece kept exactly once:
+/// a live attempt's end lives on its scheduler entry, node liveness in
+/// the [`ClusterState`], and per-job recovery state in `progress`. One
+/// method handles each event kind.
+struct EventLoop<'a, 'p> {
+    config: &'a SimConfig,
+    trace: &'a Trace,
+    obs: Obs<'a>,
+    policy: Option<&'a mut (dyn Policy + 'p)>,
+    /// Injected failures, pre-scheduled and indexed by `Event::Fault`.
+    failures: Vec<ScheduledFailure>,
+    cluster: ClusterState,
+    scheduler: Scheduler,
+    queue: EventQueue,
+    /// Recovery bookkeeping, indexed by trace index.
+    progress: Vec<JobProgress>,
+    completions: Vec<Completion>,
+    fates: Vec<JobFate>,
+    stats: SimStats,
+    goodput: GoodputAccounting,
+    reliability: ReliabilityStats,
+    timeline: Timeline,
+    /// Jobs waiting out a requeue backoff.
+    requeue_backlog: u64,
+}
+
+impl<'a, 'p> EventLoop<'a, 'p> {
+    fn new(
+        config: &'a SimConfig,
+        trace: &'a Trace,
+        obs: Obs<'a>,
+        policy: Option<&'a mut (dyn Policy + 'p)>,
+    ) -> Self {
+        let jobs = trace.jobs();
+        let mut queue = EventQueue::new();
+        for (i, j) in jobs.iter().enumerate() {
+            queue.push(j.arrival, Event::Submit(i));
         }
+        // Pre-schedule injected failures, if enabled. The schedule is a
+        // pure function of (model, fleet, horizon) — see
+        // [`FailureModel::schedule`].
+        let failures: Vec<ScheduledFailure> = match &config.failures {
+            Some(model) => model.schedule(
+                config.cluster.total_nodes(),
+                config.cluster.total_gpus(),
+                trace.spec().duration_secs() * 1.2,
+            ),
+            None => Vec::new(),
+        };
+        for (i, f) in failures.iter().enumerate() {
+            queue.push(f.time, Event::Fault(i));
+        }
+        EventLoop {
+            config,
+            trace,
+            obs,
+            policy,
+            failures,
+            cluster: ClusterState::new(config.cluster.clone()),
+            scheduler: Scheduler::with_policy(config.policy),
+            queue,
+            progress: vec![JobProgress::default(); jobs.len()],
+            completions: Vec::with_capacity(jobs.len()),
+            fates: Vec::with_capacity(jobs.len()),
+            stats: SimStats::default(),
+            goodput: GoodputAccounting::default(),
+            reliability: ReliabilityStats::new(&config.size_bucket_edges),
+            // One timeline point per ~1/512 of the horizon: enough for
+            // the figure, bounded memory at any scale. Collected even
+            // with tracing off — the ClusterTimeline figure always needs
+            // it and the cost is one float compare per event.
+            timeline: Timeline::new((trace.spec().duration_secs() / 512.0).max(1.0)),
+            requeue_backlog: 0,
+        }
+    }
+
+    /// Drains the event queue, running one scheduling pass after every
+    /// event that can change what may start, then checks the end state
+    /// and closes the timeline and the trace.
+    fn run(&mut self) {
+        while let Some((now, event)) = self.queue.pop() {
+            self.stats.events += 1;
+            let pass = match event {
+                Event::Submit(idx) => {
+                    self.submit(now, idx);
+                    false
+                }
+                Event::Tick => {
+                    if let Some(p) = self.policy.as_deref_mut() {
+                        p.tick(now, &self.cluster);
+                    }
+                    true
+                }
+                Event::Finish { job, attempt } => self.finish(now, job, attempt),
+                Event::Fault(fi) => self.fault(now, fi),
+                Event::NodeRepair(node) => {
+                    self.repair(now, node);
+                    true
+                }
+            };
+            if pass {
+                self.schedule(now);
+            }
+        }
+        assert_eq!(self.scheduler.running_len(), 0, "all jobs must terminate");
+        assert_eq!(self.scheduler.pending_len(), 0, "no job may be left queued");
+        assert_eq!(
+            self.fates.len(),
+            self.trace.jobs().len(),
+            "every job must have exactly one fate"
+        );
+        for j in self.trace.jobs() {
+            self.reliability.observe_job(j.gpus);
+        }
+        let stats = &self.stats;
+        self.timeline.sample_final(TimelineSample {
+            t: stats.makespan_secs,
+            queued: 0,
+            running: 0,
+            gpus_in_use: 0,
+            gpus_free: self.cluster.gpus_free() as u64,
+            nodes_down: self.cluster.nodes_down() as u64,
+            requeue_backlog: self.requeue_backlog,
+            injected_failures: stats.injected_failures,
+            checkpoint_restores: stats.checkpoint_restores,
+        });
+        if self.obs.events_on() {
+            self.obs.event(
+                stats.makespan_secs,
+                "sim_end",
+                vec![
+                    ("events", stats.events.into()),
+                    ("injected_failures", stats.injected_failures.into()),
+                    ("absorbed_faults", stats.absorbed_faults.into()),
+                    ("requeues", stats.requeues.into()),
+                    ("checkpoint_restores", stats.checkpoint_restores.into()),
+                ],
+            );
+        }
+        let goodput = &self.goodput;
+        debug_assert!(
+            goodput.balance_error() <= 1e-6 * goodput.allocated_gpu_secs.max(1.0),
+            "goodput ledger out of balance: {goodput:?}"
+        );
+    }
+
+    /// A job (re)enters the queue. The scheduling loop wakes up a beat
+    /// later, on a `Tick`.
+    fn submit(&mut self, now: f64, idx: usize) {
+        let jobs = self.trace.jobs();
+        let job = &jobs[idx];
+        let requeued = self.progress[idx].in_backoff;
+        if requeued {
+            self.progress[idx].in_backoff = false;
+            self.requeue_backlog -= 1;
+        }
+        if self.obs.events_on() {
+            self.obs.event(
+                now,
+                "submit",
+                vec![
+                    ("job", job.job_id.0.into()),
+                    ("gpus", job.gpus.into()),
+                    ("requeued", u64::from(requeued).into()),
+                ],
+            );
+        }
+        if let Some(p) = self.policy.as_deref_mut() {
+            p.admit(job, now);
+        }
+        self.scheduler.submit(idx, now);
+        self.queue.push(now + self.config.sched_latency_secs, Event::Tick);
+    }
+
+    /// An attempt reaches its pre-decided end. A finish whose attempt
+    /// tag does not match the running entry's (or whose job is not
+    /// running) is stale — that attempt already died to an injected
+    /// failure — and is dropped; returns false then. The tag, not a
+    /// kill-set, is what keeps double failures and requeues from
+    /// confusing stale finishes with live ones.
+    fn finish(&mut self, now: f64, job: JobId, attempt: u32) -> bool {
+        let exit = match self.scheduler.running(job) {
+            Some(r) if r.attempt == attempt => r.exit,
+            _ => return false,
+        };
+        let cause = exit_cause(exit);
+        let running = self.end_attempt(now, job, cause);
+        debug_assert!((running.end_time - now).abs() < 1e-6);
+        self.retire(now, &running, running.end_time, exit, cause);
+        if self.obs.spans_on() {
+            self.obs.end(
+                now,
+                "attempt",
+                vec![
+                    ("job", job.0.into()),
+                    ("attempt", attempt.into()),
+                    ("exit", exit.label().into()),
+                ],
+            );
+        }
+        if let Some(p) = self.policy.as_deref_mut() {
+            p.release(job, now);
+        }
+        true
+    }
+
+    /// An injected failure strikes. A GPU Xid kills exactly one
+    /// GPU-holding resident and leaves the node in service; any other
+    /// cause kills every resident and takes the node out of service
+    /// until its repair. Returns false when the fault is absorbed
+    /// without touching anything.
+    fn fault(&mut self, now: f64, fi: usize) -> bool {
+        let f = self.failures[fi];
+        if self.obs.events_on() {
+            self.obs.event(
+                now,
+                "fault",
+                vec![("cause", f.cause.label().into()), ("node", f.node.0.into())],
+            );
+        }
+        if self.cluster.is_offline(f.node) {
+            self.stats.absorbed_faults += 1;
+            return false;
+        }
+        if f.cause == FailureCause::GpuXid {
+            let victims = self.scheduler.gpu_residents_on_node(f.node);
+            if victims.is_empty() {
+                self.stats.absorbed_faults += 1;
+                return false;
+            }
+            self.kill(now, victims[(f.pick % victims.len() as u64) as usize], f.cause);
+        } else {
+            let residents = self.scheduler.running_on_node(f.node);
+            if residents.is_empty() {
+                self.stats.absorbed_faults += 1;
+            }
+            for job in residents {
+                self.kill(now, job, f.cause);
+            }
+            self.cluster.set_offline(f.node);
+            if self.obs.spans_on() {
+                self.obs.begin(
+                    now,
+                    "node_down",
+                    vec![("node", f.node.0.into()), ("cause", f.cause.label().into())],
+                );
+            }
+            self.queue.push(now + f.repair_secs.max(1.0), Event::NodeRepair(f.node));
+        }
+        true
+    }
+
+    /// A failed node returns to service.
+    fn repair(&mut self, now: f64, node: NodeId) {
+        self.cluster.set_online(node);
+        if self.obs.spans_on() {
+            self.obs.end(now, "node_down", vec![("node", node.0.into())]);
+        }
+    }
+
+    /// One scheduling pass, starting whatever fits, then the per-event
+    /// health counters and timeline sample.
+    fn schedule(&mut self, now: f64) {
+        let pass = self.scheduler.schedule_with(
+            now,
+            &mut self.cluster,
+            self.trace.jobs(),
+            self.policy.as_deref_mut(),
+        );
+        for (idx, alloc) in pass.started {
+            self.start(now, idx, alloc);
+        }
+        let stats = &mut self.stats;
+        stats.peak_gpus_in_use = stats.peak_gpus_in_use.max(self.cluster.gpus_in_use());
+        if now > stats.makespan_secs {
+            stats.makespan_secs = now;
+        }
+        let (scheduler, cluster) = (&self.scheduler, &self.cluster);
+        self.timeline.observe_depth(scheduler.pending_len() as u64);
+        self.timeline.maybe_sample(now, || TimelineSample {
+            t: now,
+            queued: scheduler.pending_len() as u64,
+            running: scheduler.running_len() as u64,
+            gpus_in_use: cluster.gpus_in_use() as u64,
+            gpus_free: cluster.gpus_free() as u64,
+            nodes_down: cluster.nodes_down() as u64,
+            requeue_backlog: self.requeue_backlog,
+            injected_failures: stats.injected_failures,
+            checkpoint_restores: stats.checkpoint_restores,
+        });
+    }
+
+    /// Starts a new attempt of the job at trace index `idx` on `alloc`:
+    /// applies the tier and policy stretch, decides when and how the
+    /// attempt ends, and schedules its tagged `Finish`.
+    fn start(&mut self, now: f64, idx: usize, alloc: Allocation) {
+        let jobs = self.trace.jobs();
+        let job = &jobs[idx];
+        let cluster = &self.config.cluster;
+        // Slow-tier physics: compute-bound work stretches by 1/speed;
+        // idle (data/CPU) time is speed-invariant.
+        let tier_stretch = match cluster.slow_tier {
+            Some(tier) if alloc.parts.iter().any(|p| cluster.is_slow_node(p.node.0)) => {
+                self.stats.slow_tier_jobs += 1;
+                let af =
+                    job.truth_params.as_ref().map_or(0.0, |p| p.active_fraction.clamp(0.0, 1.0));
+                af / tier.speed.max(1e-6) + (1.0 - af)
+            }
+            _ => 1.0,
+        };
+        // Dispatch directive: the policy may stretch the run further
+        // (DVFS throttling, co-location interference) and impose a
+        // per-job power cap on its telemetry.
+        let directive = match self.policy.as_deref_mut() {
+            Some(p) => p.dispatch(job, &alloc, now),
+            None => Dispatch::default(),
+        };
+        let stretch = tier_stretch * directive.stretch.max(1.0);
+        match directive.decision {
+            Some(PolicyDecision::CapThrottle { cap_w, slowdown }) => {
+                self.stats.policy_cap_throttles += 1;
+                if self.obs.events_on() {
+                    self.obs.event(
+                        now,
+                        "cap_throttle",
+                        vec![
+                            ("job", job.job_id.0.into()),
+                            ("cap_w", cap_w.into()),
+                            ("slowdown", slowdown.into()),
+                        ],
+                    );
+                }
+            }
+            Some(PolicyDecision::CosharePlace { host, slowdown }) => {
+                self.stats.policy_coshares += 1;
+                if self.obs.events_on() {
+                    self.obs.event(
+                        now,
+                        "coshare_place",
+                        vec![
+                            ("job", job.job_id.0.into()),
+                            ("host", host.0.into()),
+                            ("slowdown", slowdown.into()),
+                        ],
+                    );
+                }
+            }
+            Some(PolicyDecision::TierRoute { slow }) => {
+                self.stats.policy_tier_routes += 1;
+                if self.obs.events_on() {
+                    self.obs.event(
+                        now,
+                        "tier_route",
+                        vec![("job", job.job_id.0.into()), ("slow", u64::from(slow).into())],
+                    );
+                }
+            }
+            None => {}
+        }
+        let prog = &mut self.progress[idx];
+        prog.attempts += 1;
+        let attempt = prog.attempts;
+        self.reliability.observe_attempt_start(job.gpus);
+        if let Some(killed_at) = prog.killed_at.take() {
+            self.reliability.observe_recovery(job.gpus, (now - killed_at).max(0.0));
+        }
+        let completed_work = prog.completed_work;
+        if completed_work > 0.0 {
+            self.stats.checkpoint_restores += 1;
+            if self.obs.events_on() {
+                self.obs.event(
+                    now,
+                    "checkpoint_restore",
+                    vec![
+                        ("job", job.job_id.0.into()),
+                        ("attempt", attempt.into()),
+                        ("saved_work_secs", completed_work.into()),
+                    ],
+                );
+            }
+        }
+        if self.obs.spans_on() {
+            self.obs.begin(
+                now,
+                "attempt",
+                vec![
+                    ("job", job.job_id.0.into()),
+                    ("attempt", attempt.into()),
+                    ("gpus", job.gpus.into()),
+                ],
+            );
+        }
+        let (end_time, exit) = self.decide_end(job, now, stretch, completed_work);
+        self.scheduler.mark_running(
+            job.job_id,
+            RunningJob {
+                trace_idx: idx,
+                alloc,
+                start_time: now,
+                estimated_end: now + job.time_limit,
+                stretch,
+                power_cap_w: directive.power_cap_w,
+                end_time,
+                exit,
+                attempt,
+            },
+        );
+        self.queue.push(end_time, Event::Finish { job: job.job_id, attempt });
+    }
+
+    /// Kills one running attempt at `now` because of an injected
+    /// failure: ends it, banks any checkpointed work, and either
+    /// requeues the job (with exponential backoff) or retires it with a
+    /// terminal node-failure exit once the retry budget is spent.
+    fn kill(&mut self, now: f64, job_id: JobId, cause: FailureCause) {
+        let running = self.end_attempt(now, job_id, Some(cause));
+        let jobs = self.trace.jobs();
+        let job = &jobs[running.trace_idx];
+        let elapsed = (now - running.start_time).max(0.0);
+        let saved_wall = self.config.checkpoint_saved_wall(job, elapsed);
+        let prog = &mut self.progress[running.trace_idx];
+        // Saved wall-clock converts back to work units through the
+        // tier's stretch factor, so a checkpoint taken on the slow tier
+        // resumes correctly anywhere.
+        prog.completed_work += saved_wall / running.stretch;
+        prog.injected_failures += 1;
+        prog.last_cause = Some(cause);
+        self.stats.injected_failures += 1;
+        if self.obs.events_on() {
+            self.obs.event(
+                now,
+                "kill",
+                vec![
+                    ("job", job_id.0.into()),
+                    ("cause", cause.label().into()),
+                    ("elapsed_secs", elapsed.into()),
+                    ("saved_secs", saved_wall.into()),
+                ],
+            );
+        }
+        if self.obs.spans_on() {
+            self.obs.end(
+                now,
+                "attempt",
+                vec![
+                    ("job", job_id.0.into()),
+                    ("attempt", running.attempt.into()),
+                    ("exit", "killed".into()),
+                    ("cause", cause.label().into()),
+                ],
+            );
+        }
+        let retry = self.config.failures.as_ref().expect("kill implies failures on").retry;
+        let cap = retry.max_retries.min(job.max_restarts);
+        if prog.retries < cap {
+            prog.retries += 1;
+            prog.in_backoff = true;
+            prog.killed_at = Some(now);
+            self.stats.requeues += 1;
+            self.requeue_backlog += 1;
+            let backoff = retry.backoff_secs(prog.retries);
+            if self.obs.events_on() {
+                self.obs.event(
+                    now,
+                    "requeue",
+                    vec![
+                        ("job", job_id.0.into()),
+                        ("retry", prog.retries.into()),
+                        ("backoff_secs", backoff.into()),
+                    ],
+                );
+            }
+            self.queue.push(now + backoff, Event::Submit(running.trace_idx));
+        } else {
+            let end_time = now.max(running.start_time + 1.0);
+            self.retire(now, &running, end_time, ExitStatus::NodeFailure, Some(cause));
+        }
+        if let Some(p) = self.policy.as_deref_mut() {
+            p.release(job_id, now);
+        }
+    }
+
+    /// Ends the running attempt of `job` at `now`: frees its allocation
+    /// and posts it to the goodput and reliability ledgers. `failure` is
+    /// the cause if an infrastructure failure ended it.
+    fn end_attempt(&mut self, now: f64, job: JobId, failure: Option<FailureCause>) -> RunningJob {
+        let running = self.scheduler.finish(job);
+        self.cluster.release(&running.alloc);
+        let jobs = self.trace.jobs();
+        self.settle(&jobs[running.trace_idx], now - running.start_time, failure);
+        running
+    }
+
+    /// Records a job's final attempt, ended at `now`: the `finish`
+    /// event, its completion (whose order fixes the output record
+    /// order), and its fate. `cause` is the infrastructure failure that
+    /// ended the attempt, if any.
+    fn retire(
+        &mut self,
+        now: f64,
+        running: &RunningJob,
+        end_time: f64,
+        exit: ExitStatus,
+        cause: Option<FailureCause>,
+    ) {
+        let job_id = self.trace.jobs()[running.trace_idx].job_id;
+        if self.obs.events_on() {
+            self.obs.event(
+                now,
+                "finish",
+                vec![("job", job_id.0.into()), ("exit", exit.label().into())],
+            );
+        }
+        self.completions.push(Completion {
+            trace_idx: running.trace_idx,
+            start_time: running.start_time,
+            end_time,
+            exit,
+            cap_w: running.power_cap_w,
+        });
+        let prog = &self.progress[running.trace_idx];
+        self.fates.push(JobFate {
+            job_id,
+            attempts: prog.attempts,
+            injected_failures: prog.injected_failures,
+            exit,
+            last_cause: cause.or(prog.last_cause),
+        });
     }
 
     /// Posts one finished attempt to the goodput ledger and the
@@ -864,14 +979,9 @@ impl Simulation {
     /// infrastructure failure ended the attempt; `None` means the work
     /// survived. Both ledgers see identical split values, so the
     /// per-size sums reconcile exactly with the global totals.
-    fn settle_attempt(
-        &self,
-        goodput: &mut GoodputAccounting,
-        rel: &mut ReliabilityStats,
-        job: &JobSpec,
-        elapsed: f64,
-        failure: Option<FailureCause>,
-    ) {
+    fn settle(&mut self, job: &JobSpec, elapsed: f64, failure: Option<FailureCause>) {
+        let config = self.config;
+        let goodput = &mut self.goodput;
         let d = elapsed.max(0.0);
         let gpus = job.gpus as f64;
         let idle_g = job.idle_gpus.min(job.gpus) as f64;
@@ -881,7 +991,7 @@ impl Simulation {
         let (mut useful, lost) = match failure {
             None => (active_g * d, 0.0),
             Some(cause) => {
-                let saved = self.checkpoint_saved_wall(job, d);
+                let saved = config.checkpoint_saved_wall(job, d);
                 let lost = active_g * (d - saved);
                 goodput.lost_by_cause_gpu_secs[cause.index()] += lost;
                 goodput.deaths_by_cause[cause.index()] += 1;
@@ -893,7 +1003,7 @@ impl Simulation {
         // so they are debited from useful into idle time. This is the
         // overhead side of the Young/Daly tradeoff: short intervals
         // bound lost work but pay more write stalls.
-        if let Some(cp) = self.config.checkpoint {
+        if let Some(cp) = config.checkpoint {
             if job.checkpointable && cp.interval_secs > 0.0 {
                 let writes = (d / cp.interval_secs).floor() * cp.write_secs * active_g;
                 let write = writes.min(useful);
@@ -910,118 +1020,7 @@ impl Simulation {
         goodput.useful_by_size_gpu_secs[b] += useful;
         goodput.lost_by_size_gpu_secs[b] += lost;
         goodput.idle_by_size_gpu_secs[b] += idle;
-        rel.settle_attempt(job.gpus, d, useful, lost, idle, failure.is_some());
-    }
-
-    /// Kills one running attempt at `now` because of an injected
-    /// failure: releases its resources, settles the ledger, banks any
-    /// checkpointed work, and either requeues the job (with exponential
-    /// backoff) or records its terminal node-failure death once the
-    /// retry budget is spent.
-    #[allow(clippy::too_many_arguments)]
-    fn kill_attempt(
-        &self,
-        job_id: JobId,
-        cause: FailureCause,
-        now: f64,
-        obs: &Obs<'_>,
-        scheduler: &mut Scheduler,
-        cluster: &mut ClusterState,
-        jobs: &[JobSpec],
-        progress: &mut [JobProgress],
-        pending_end: &mut HashMap<JobId, (f64, ExitStatus, u32)>,
-        goodput: &mut GoodputAccounting,
-        rel: &mut ReliabilityStats,
-        stats: &mut SimStats,
-        queue: &mut EventQueue,
-        completions: &mut Vec<Completion>,
-        fates: &mut Vec<JobFate>,
-    ) {
-        let running = scheduler.finish(job_id);
-        cluster.release(&running.alloc);
-        pending_end.remove(&job_id);
-        let job = &jobs[running.trace_idx];
-        let elapsed = (now - running.start_time).max(0.0);
-        self.settle_attempt(goodput, rel, job, elapsed, Some(cause));
-        let saved_wall = self.checkpoint_saved_wall(job, elapsed);
-        let prog = &mut progress[running.trace_idx];
-        // Saved wall-clock converts back to work units through the
-        // tier's stretch factor, so a checkpoint taken on the slow tier
-        // resumes correctly anywhere.
-        prog.completed_work += saved_wall / running.stretch;
-        prog.injected_failures += 1;
-        prog.last_cause = Some(cause);
-        stats.injected_failures += 1;
-        if obs.events_on() {
-            obs.event(
-                now,
-                "kill",
-                vec![
-                    ("job", job_id.0.into()),
-                    ("cause", cause.label().into()),
-                    ("elapsed_secs", elapsed.into()),
-                    ("saved_secs", saved_wall.into()),
-                ],
-            );
-        }
-        if obs.spans_on() {
-            obs.end(
-                now,
-                "attempt",
-                vec![
-                    ("job", job_id.0.into()),
-                    ("attempt", prog.attempts.into()),
-                    ("exit", "killed".into()),
-                    ("cause", cause.label().into()),
-                ],
-            );
-        }
-        let retry = self.config.failures.as_ref().expect("kill implies failures on").retry;
-        let cap = retry.max_retries.min(job.max_restarts);
-        if prog.retries < cap {
-            prog.retries += 1;
-            stats.requeues += 1;
-            prog.in_backoff = true;
-            prog.killed_at = Some(now);
-            let backoff = retry.backoff_secs(prog.retries);
-            if obs.events_on() {
-                obs.event(
-                    now,
-                    "requeue",
-                    vec![
-                        ("job", job_id.0.into()),
-                        ("retry", prog.retries.into()),
-                        ("backoff_secs", backoff.into()),
-                    ],
-                );
-            }
-            queue.push(now + backoff, Event::Submit(running.trace_idx));
-        } else {
-            if obs.events_on() {
-                obs.event(
-                    now,
-                    "finish",
-                    vec![
-                        ("job", job_id.0.into()),
-                        ("exit", ExitStatus::NodeFailure.label().into()),
-                    ],
-                );
-            }
-            completions.push(Completion {
-                trace_idx: running.trace_idx,
-                start_time: running.start_time,
-                end_time: now.max(running.start_time + 1.0),
-                exit: ExitStatus::NodeFailure,
-                cap_w: running.power_cap_w,
-            });
-            fates.push(JobFate {
-                job_id,
-                attempts: prog.attempts,
-                injected_failures: prog.injected_failures,
-                exit: ExitStatus::NodeFailure,
-                last_cause: Some(cause),
-            });
-        }
+        self.reliability.settle_attempt(job.gpus, d, useful, lost, idle, failure.is_some());
     }
 
     /// Decides when and how a started job ends. `stretch ≥ 1` scales
@@ -1032,13 +1031,12 @@ impl Simulation {
     /// bit-identical to a fresh start.
     fn decide_end(
         &self,
-        trace: &Trace,
         job: &JobSpec,
         start: f64,
         stretch: f64,
         completed_work: f64,
     ) -> (f64, ExitStatus) {
-        if trace.is_hardware_victim(job.job_id) {
+        if self.trace.is_hardware_victim(job.job_id) {
             // The node dies somewhere inside the natural run time.
             let natural =
                 ((job.outcome.run_time(job.time_limit) - completed_work) * stretch).max(1.0);
@@ -1074,71 +1072,65 @@ impl Simulation {
         };
         (start + run.max(1.0), exit)
     }
+}
 
-    /// The epilog of one finished job: scheduler record, analytic
-    /// telemetry aggregates, and — for the detailed subset — the 100 ms
-    /// sampled series reduced to phase statistics. Pure with respect to
-    /// its inputs (the ground truth regenerates from the job's seed),
-    /// which is what lets the batch run in parallel.
-    #[allow(clippy::too_many_arguments)]
-    fn synthesize_epilog(
-        &self,
-        job: &JobSpec,
-        start_time: f64,
-        end_time: f64,
-        exit: ExitStatus,
-        cap_w: Option<f64>,
-        detailed_fraction: f64,
-        sampler: &GpuSampler,
-    ) -> JobEpilog {
-        let sched = SchedulerRecord {
-            job_id: job.job_id,
-            user: job.user,
-            interface: job.interface,
-            gpus_requested: job.gpus,
-            cpus_requested: job.cpus,
-            mem_requested_gib: job.mem_gib,
-            submit_time: job.arrival,
-            start_time,
-            end_time,
-            time_limit: job.time_limit,
-            exit,
-        };
-        let run_time = sched.run_time();
-        let mut gpu = None;
-        let mut detailed = None;
-        if job.is_gpu_job() && run_time >= MIN_GPU_JOB_RUNTIME_SECS {
-            if let Some(truth) = job.ground_truth() {
-                let mut per_gpu = truth.analytic_aggregates(run_time);
-                if let Some(cap) = cap_w {
-                    // A capped board reports capped power: the cap
-                    // clamps what telemetry sees (utilizations are
-                    // untouched — capping slows the clock, it does not
-                    // idle the SMs).
-                    for a in &mut per_gpu {
-                        *a = a.with_power_cap(cap);
-                    }
+/// The epilog of one finished job: scheduler record, analytic
+/// telemetry aggregates, and — for the detailed subset — the 100 ms
+/// sampled series reduced to phase statistics. Pure with respect to
+/// its inputs (the ground truth regenerates from the job's seed),
+/// which is what lets the batch run in parallel.
+fn synthesize_epilog(
+    job: &JobSpec,
+    c: &Completion,
+    detailed_fraction: f64,
+    sampler: &GpuSampler,
+) -> JobEpilog {
+    let sched = SchedulerRecord {
+        job_id: job.job_id,
+        user: job.user,
+        interface: job.interface,
+        gpus_requested: job.gpus,
+        cpus_requested: job.cpus,
+        mem_requested_gib: job.mem_gib,
+        submit_time: job.arrival,
+        start_time: c.start_time,
+        end_time: c.end_time,
+        time_limit: job.time_limit,
+        exit: c.exit,
+    };
+    let run_time = sched.run_time();
+    let mut gpu = None;
+    let mut detailed = None;
+    if job.is_gpu_job() && run_time >= MIN_GPU_JOB_RUNTIME_SECS {
+        if let Some(truth) = job.ground_truth() {
+            let mut per_gpu = truth.analytic_aggregates(run_time);
+            if let Some(cap) = c.cap_w {
+                // A capped board reports capped power: the cap
+                // clamps what telemetry sees (utilizations are
+                // untouched — capping slows the clock, it does not
+                // idle the SMs).
+                for a in &mut per_gpu {
+                    *a = a.with_power_cap(cap);
                 }
-                gpu = Some(GpuJobRecord { job_id: job.job_id, per_gpu });
-                if hash_unit(job.truth_seed ^ 0x5eed_cafe) < detailed_fraction {
-                    // Streaming path: the ground truth pushes job-level
-                    // ticks straight into the one-pass detail reducer —
-                    // bit-identical to materializing the series and
-                    // running `phase_stats` / `active_variability`, at
-                    // O(#runs) memory (tested in sc-workload).
-                    let period = sampler.period_secs();
-                    if tick_count(run_time, period) > 0 && !truth.gpus.is_empty() {
-                        let (phases, variability) =
-                            stream_detail(|sink| truth.stream_util3(run_time, period, sink))
-                                .expect("non-empty stream of finite ticks");
-                        detailed =
-                            Some(DetailedJobStats { job_id: job.job_id, phases, variability });
-                    }
+            }
+            gpu = Some(GpuJobRecord { job_id: job.job_id, per_gpu });
+            if hash_unit(job.truth_seed ^ 0x5eed_cafe) < detailed_fraction {
+                // Streaming path: the ground truth pushes job-level
+                // ticks straight into the one-pass detail reducer —
+                // bit-identical to materializing the series and
+                // running `phase_stats` / `active_variability`, at
+                // O(#runs) memory (tested in sc-workload).
+                let period = sampler.period_secs();
+                if tick_count(run_time, period) > 0 && !truth.gpus.is_empty() {
+                    let (phases, variability) =
+                        stream_detail(|sink| truth.stream_util3(run_time, period, sink))
+                            .expect("non-empty stream of finite ticks");
+                    detailed = Some(DetailedJobStats { job_id: job.job_id, phases, variability });
                 }
             }
         }
-        JobEpilog { sched, gpu, detailed }
     }
+    JobEpilog { sched, gpu, detailed }
 }
 
 /// The failure cause attributed to a naturally-decided exit: the
@@ -1337,6 +1329,63 @@ mod tests {
     }
 
     #[test]
+    fn stale_finish_of_a_killed_attempt_is_dropped_after_restart() {
+        // Drive one job through start -> kill -> requeue -> restart by
+        // hand. The finish the first attempt scheduled arrives while the
+        // second attempt runs; the attempt tag on the running entry must
+        // drop it, and only the live finish may retire the job.
+        let trace = Trace::generate(&WorkloadSpec::supercloud().scaled(0.002), 3);
+        let config = SimConfig {
+            detailed_series_jobs: 0,
+            // Retry policy only: no classes, so nothing is scheduled.
+            failures: Some(FailureModel {
+                seed: 0,
+                classes: Vec::new(),
+                retry: Default::default(),
+            }),
+            ..Default::default()
+        };
+        let mut ev = EventLoop::new(&config, &trace, Obs::off(), None);
+        let (idx, job) = trace
+            .jobs()
+            .iter()
+            .enumerate()
+            .find(|(_, j)| {
+                j.is_gpu_job()
+                    && j.max_restarts > 0
+                    && !trace.is_hardware_victim(j.job_id)
+                    && matches!(j.outcome, PlannedOutcome::Complete { work_secs }
+                        if work_secs > 600.0 && work_secs < j.time_limit)
+            })
+            .expect("a restartable GPU job");
+        let id = job.job_id;
+        ev.submit(0.0, idx);
+        ev.schedule(3.0);
+        let first = ev.scheduler.running(id).expect("attempt 1 started").clone();
+        assert_eq!(first.attempt, 1);
+        ev.kill(100.0, id, FailureCause::NodeHardware);
+        assert!(ev.scheduler.running(id).is_none());
+        assert_eq!(ev.stats.requeues, 1);
+        ev.submit(200.0, idx);
+        ev.schedule(203.0);
+        let second = ev.scheduler.running(id).expect("attempt 2 started").clone();
+        assert_eq!(second.attempt, 2);
+        assert!(second.end_time > first.end_time, "attempt 2 outlives attempt 1's finish");
+        assert!(!ev.finish(first.end_time, id, 1), "stale finish must be dropped");
+        assert_eq!(ev.scheduler.running(id).map(|r| r.attempt), Some(2));
+        assert!(ev.completions.is_empty() && ev.fates.is_empty());
+        assert!(ev.finish(second.end_time, id, 2));
+        assert!(ev.scheduler.running(id).is_none());
+        assert_eq!(ev.completions.len(), 1);
+        assert_eq!(ev.completions[0].start_time, 203.0);
+        assert_eq!(ev.completions[0].end_time, second.end_time);
+        assert_eq!(ev.completions[0].exit, ExitStatus::Completed);
+        let fate = ev.fates[0];
+        assert_eq!((fate.job_id, fate.attempts, fate.injected_failures), (id, 2, 1));
+        assert_eq!(fate.last_cause, Some(FailureCause::NodeHardware));
+    }
+
+    #[test]
     fn full_taxonomy_attributes_losses_per_cause() {
         let spec = WorkloadSpec::supercloud().scaled(0.01);
         let trace = Trace::generate(&spec, 21);
@@ -1495,7 +1544,7 @@ mod tests {
         });
         let plain = sim.run(&trace);
         let ring = RingSink::new(TraceLevel::Events, 1_000_000);
-        let (observed, _) = sim.run_observed(&trace, &Obs::new(&ring));
+        let (observed, _) = sim.run_with(&trace, &Obs::new(&ring), None);
         assert_eq!(plain.stats, observed.stats);
         assert_eq!(plain.fates, observed.fates);
         assert_eq!(plain.goodput, observed.goodput);

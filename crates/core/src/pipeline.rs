@@ -98,16 +98,6 @@ impl AnalysisReport {
         Self::from_sim_logged(out, &StageLog::new())
     }
 
-    /// Like [`AnalysisReport::from_sim`] but returning a typed error
-    /// when a figure's population is missing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing stage as a [`PipelineError`].
-    pub fn try_from_sim(out: &SimOutput) -> Result<Self, PipelineError> {
-        Self::try_from_sim_logged(out, &StageLog::new())
-    }
-
     /// Like [`AnalysisReport::from_sim`], recording a wall-clock span
     /// per pipeline stage (view building, user stats, each figure)
     /// into `log` — the substrate of the Chrome trace export. The
@@ -331,23 +321,10 @@ pub struct DatasetReport {
 }
 
 impl DatasetReport {
-    /// Computes every dataset-only figure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset lacks a population some figure needs
-    /// (e.g. no multi-GPU jobs).
-    pub fn from_dataset(dataset: &sc_telemetry::Dataset) -> Self {
-        match Self::try_from_dataset(dataset) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Computes every dataset-only figure, returning a typed error when
-    /// a figure's population is missing — the entry point for datasets
-    /// that went through [`mod@crate::ingest`] repair and may be thinner
-    /// than a clean simulation output.
+    /// a figure's population is missing — as it is for a small exported
+    /// dataset, or one that went through [`mod@crate::ingest`] repair
+    /// and is thinner than a clean simulation output.
     ///
     /// # Errors
     ///
@@ -441,8 +418,8 @@ mod tests {
         // reload it, and regenerate the dataset-only figures.
         let json = small_sim().dataset.to_json().expect("serializable");
         let dataset = sc_telemetry::Dataset::from_json(&json).expect("parseable");
-        let report = DatasetReport::from_dataset(&dataset);
-        let direct = DatasetReport::from_dataset(&small_sim().dataset);
+        let report = DatasetReport::try_from_dataset(&dataset).expect("pipeline");
+        let direct = DatasetReport::try_from_dataset(&small_sim().dataset).expect("pipeline");
         assert_eq!(report.fig4.sm.median(), direct.fig4.sm.median());
         assert!(report.render_text().contains("Fig. 15"));
     }

@@ -16,7 +16,7 @@
 use crate::coshare::CosharePolicy;
 use crate::predicted::PredictedClassPolicy;
 use crate::PolicySpec;
-use sc_cluster::{SimConfig, SimOutput, Simulation, SlowTierSpec};
+use sc_cluster::{Policy, SimConfig, SimOutput, Simulation, SlowTierSpec};
 use sc_core::figures::PolicyAbFig;
 use sc_learn::{ArchetypePredictor, ClassifierConfig, EvalReport};
 use sc_obs::Obs;
@@ -91,38 +91,31 @@ impl PolicyExperiment {
         cfg
     }
 
-    /// Runs both arms without tracing.
-    pub fn run(&self, trace: &Trace) -> ExperimentResult {
-        self.run_observed(trace, &Obs::off())
-    }
-
-    /// Runs both arms; the *policy* arm emits into `obs`, so policy
-    /// decision events land in the trace without baseline noise.
+    /// Runs both arms; the *policy* arm emits into `obs` (pass
+    /// [`Obs::off`] for no tracing), so policy decision events land in
+    /// the trace without baseline noise.
     ///
     /// For [`PolicySpec::CosharePredicted`] this trains the classifier
     /// on the trace, runs the predicted-label arm as the policy arm,
     /// and runs a third *oracle-label* arm (same gating rule, ground
     /// truth labels) so the result can report what classifier error
     /// cost.
-    pub fn run_observed(&self, trace: &Trace, obs: &Obs<'_>) -> ExperimentResult {
+    pub fn run(&self, trace: &Trace, obs: &Obs<'_>) -> ExperimentResult {
         let cfg = self.config();
-        let (baseline, _) = Simulation::new(cfg.clone()).run_observed(trace, &Obs::off());
+        let (baseline, _) = Simulation::new(cfg.clone()).run_with(trace, &Obs::off(), None);
         let mut classifier_eval = None;
-        let (policy, _) = if self.spec == PolicySpec::CosharePredicted {
+        let mut arm: Option<Box<dyn Policy>> = if self.spec == PolicySpec::CosharePredicted {
             let (predictor, eval) = ArchetypePredictor::train(trace, &self.classifier);
             classifier_eval = Some(eval);
-            let mut p = PredictedClassPolicy::coshare(predictor);
-            Simulation::new(cfg.clone()).run_policy(trace, obs, &mut p)
+            Some(Box::new(PredictedClassPolicy::coshare(predictor)))
         } else {
-            match self.spec.build(&cfg.cluster) {
-                Some(mut p) => Simulation::new(cfg.clone()).run_policy(trace, obs, p.as_mut()),
-                None => Simulation::new(cfg.clone()).run_observed(trace, obs),
-            }
+            self.spec.build(&cfg.cluster)
         };
+        let (policy, _) = Simulation::new(cfg.clone()).run_with(trace, obs, arm.as_deref_mut());
         let fig = PolicyAbFig::compute(&self.spec.label(), &baseline, &policy);
         let (oracle, oracle_fig) = if self.spec == PolicySpec::CosharePredicted {
             let mut p = CosharePolicy::label_gated();
-            let (out, _) = Simulation::new(cfg).run_policy(trace, &Obs::off(), &mut p);
+            let (out, _) = Simulation::new(cfg).run_with(trace, &Obs::off(), Some(&mut p));
             let fig = PolicyAbFig::compute("coshare-oracle", &baseline, &out);
             (Some(out), Some(fig))
         } else {
@@ -148,7 +141,7 @@ mod tests {
     #[test]
     fn off_spec_yields_identical_arms() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::Off);
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace(), &Obs::off());
         assert_eq!(r.baseline.dataset.records().len(), r.policy.dataset.records().len());
         for (name, _, _, d) in r.fig.rows() {
             assert_eq!(d, 0.0, "{name} must not drift with no policy");
@@ -158,7 +151,7 @@ mod tests {
     #[test]
     fn powercap_arm_throttles_and_stretches() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::PowerCap { cap_w: 150.0 });
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace(), &Obs::off());
         assert!(r.policy.stats.policy_cap_throttles > 0, "a 150 W cap must bite");
         assert_eq!(r.baseline.stats.policy_cap_throttles, 0);
         for rec in r.policy.dataset.records() {
@@ -183,7 +176,7 @@ mod tests {
     #[test]
     fn predicted_experiment_runs_three_arms_and_reports_deltas() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::CosharePredicted);
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace(), &Obs::off());
         let eval = r.classifier_eval.as_ref().expect("predicted arm trains a classifier");
         assert!(eval.accuracy > 0.6, "confusion: {:?}", eval.confusion);
         let oracle = r.oracle.as_ref().expect("oracle arm runs alongside");
@@ -199,7 +192,7 @@ mod tests {
     #[test]
     fn non_predicted_experiments_have_no_oracle_arm() {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::Coshare);
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace(), &Obs::off());
         assert!(r.oracle.is_none() && r.oracle_fig.is_none() && r.classifier_eval.is_none());
         assert_eq!(r.predicted_vs_oracle_goodput_pp(), None);
     }
@@ -209,7 +202,7 @@ mod tests {
         let exp = PolicyExperiment::new(small_config(), PolicySpec::Tiered);
         let cfg = exp.config();
         assert_eq!(cfg.cluster.slow_tier, Some(DEFAULT_SLOW_TIER));
-        let r = exp.run(&small_trace());
+        let r = exp.run(&small_trace(), &Obs::off());
         assert!(r.policy.stats.policy_tier_routes > 0, "routing must reroute some jobs");
         assert!(
             r.fig.policy.slow_tier_jobs > r.fig.baseline.slow_tier_jobs,

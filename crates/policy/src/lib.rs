@@ -121,7 +121,7 @@ impl PolicySpec {
     ///
     /// Panics for [`PolicySpec::CosharePredicted`], which needs a trace
     /// to train its classifier on — use
-    /// [`PolicyExperiment::run_observed`], which trains the predictor
+    /// [`PolicyExperiment::run`], which trains the predictor
     /// and runs the oracle arm alongside.
     pub fn build(&self, cluster: &ClusterSpec) -> Option<Box<dyn Policy>> {
         match *self {

@@ -45,9 +45,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Executor worker threads; 0 means [`sc_par::current_threads`].
     pub threads: usize,
-    /// Memoize responses. Off serves every request cold — only useful
-    /// for baselines and cache-off comparisons.
-    pub cache: bool,
     /// Landed-response bound for the memo cache; 0 means unbounded
     /// (the pre-eviction behavior). Overflow evicts by the cache's
     /// deterministic second-chance sweep; an evicted response simply
@@ -73,7 +70,6 @@ impl Default for ServeConfig {
             scale: 0.02,
             seed: 42,
             threads: 0,
-            cache: true,
             cache_capacity: 256,
             users_floor: 64,
             tracing: false,
@@ -90,13 +86,13 @@ pub struct ServeMetrics {
     pub queries: SharedCounter,
     /// Responses served from the cache without waiting.
     pub hits: SharedCounter,
-    /// Responses this service computed (cold or cache off).
+    /// Responses this service computed on a cache miss.
     pub misses: SharedCounter,
     /// Responses that waited on another request's in-flight compute.
     pub coalesced: SharedCounter,
     /// Cached responses evicted by the second-chance sweep (mirrors
     /// the cache's monotone eviction total; 0 when the cache is
-    /// unbounded or off).
+    /// unbounded).
     pub evictions: SharedCounter,
 }
 
@@ -259,11 +255,6 @@ impl Service {
     /// Answers `q` on the calling thread, through the cache.
     pub fn query_blocking(&self, q: &Query) -> Response {
         self.metrics.queries.incr();
-        if !self.config.cache {
-            let body = Arc::new(self.compute_traced(q));
-            self.metrics.misses.incr();
-            return Response { body, outcome: CacheOutcome::Miss };
-        }
         let (body, outcome) = self.cache.get_or_compute(self.key(q), || self.compute_traced(q));
         match outcome {
             CacheOutcome::Hit => self.metrics.hits.incr(),
@@ -325,7 +316,7 @@ impl Service {
                 // telemetry subset only feeds figures 6/7, so the A/B
                 // replay skips it (same shortcut as the batch tool).
                 let base = SimConfig { detailed_series_jobs: 0, ..self.sim_config.clone() };
-                PolicyExperiment::new(base, *spec).run(&self.trace).fig.render()
+                PolicyExperiment::new(base, *spec).run(&self.trace, &Obs::off()).fig.render()
             }
             Query::DataQuality(profile) => self
                 .compute_data_quality(*profile)
@@ -509,18 +500,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_off_always_misses() {
+    fn uncached_queries_serve_cold_and_leave_the_cache_alone() {
         let s = Service::build(ServeConfig {
             scale: 0.0001,
             users_floor: 1,
             threads: 1,
-            cache: false,
             ..ServeConfig::default()
         });
         let q = Query::Point(PointStat::JobsAnalyzed);
-        assert_eq!(s.query_blocking(&q).outcome, CacheOutcome::Miss);
-        assert_eq!(s.query_blocking(&q).outcome, CacheOutcome::Miss);
-        assert_eq!(s.metrics().misses.get(), 2);
+        let cold = s.query_uncached(&q);
+        let cold_again = s.query_uncached(&q);
+        assert_eq!(cold, cold_again);
+        assert_eq!(s.metrics().queries.get(), 0, "cold answers are not counted");
+        assert_eq!(s.cache_stats().misses, 0, "cold answers never fill the cache");
+        // The first cached request still misses, and serves the cold bytes.
+        let first = s.query_blocking(&q);
+        assert_eq!(first.outcome, CacheOutcome::Miss);
+        assert_eq!(first.body, cold);
     }
 
     #[test]

@@ -180,7 +180,7 @@ fn traced_jsonl(seed: u64) -> Vec<u8> {
         ..Default::default()
     });
     let sink = JsonlSink::new(TraceLevel::Events, Vec::new());
-    let (_out, _timings) = sim.run_observed(&trace, &Obs::new(&sink));
+    let (_out, _timings) = sim.run_with(&trace, &Obs::new(&sink), None);
     sink.into_inner().expect("Vec<u8> writes cannot fail")
 }
 
@@ -255,7 +255,7 @@ fn policy_runs_are_deterministic_across_thread_budgets() {
                     SimConfig { detailed_series_jobs: 0, ..Default::default() },
                     s,
                 );
-                let r = exp.run(&trace);
+                let r = exp.run(&trace, &Obs::off());
                 (r.policy.dataset.to_json().expect("serializable"), r.fig.render())
             })
             .collect()
@@ -530,7 +530,7 @@ fn coshare_predicted_policy_is_deterministic_across_thread_budgets() {
             SimConfig { detailed_series_jobs: 0, ..Default::default() },
             PolicySpec::CosharePredicted,
         );
-        let r = exp.run(&trace);
+        let r = exp.run(&trace, &Obs::off());
         let oracle = r.oracle.as_ref().expect("predicted arm always runs its oracle twin");
         let oracle_fig = r.oracle_fig.as_ref().expect("oracle delta figure");
         let eval = r.classifier_eval.as_ref().expect("predicted arm trains a classifier");

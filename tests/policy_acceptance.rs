@@ -63,7 +63,7 @@ fn closed_loop_powercap_lands_on_the_offline_prediction() {
     const CAP_W: f64 = 150.0;
     let trace = ab_trace();
     let exp = PolicyExperiment::new(ab_config(), PolicySpec::PowerCap { cap_w: CAP_W });
-    let r = exp.run(&trace);
+    let r = exp.run(&trace, &Obs::off());
     assert!(r.policy.stats.policy_cap_throttles > 0, "a 150 W cap must throttle jobs");
     assert_eq!(r.baseline.stats.policy_cap_throttles, 0);
 
@@ -100,7 +100,7 @@ fn closed_loop_powercap_lands_on_the_offline_prediction() {
 fn closed_loop_coshare_stays_inside_the_offline_interference_band() {
     let trace = ab_trace();
     let exp = PolicyExperiment::new(ab_config(), PolicySpec::Coshare);
-    let r = exp.run(&trace);
+    let r = exp.run(&trace, &Obs::off());
     assert!(r.policy.stats.policy_coshares > 0, "the packer must pair some jobs");
     assert!(
         r.policy.stats.peak_gpus_in_use <= r.baseline.stats.peak_gpus_in_use,
@@ -152,7 +152,7 @@ fn closed_loop_coshare_stays_inside_the_offline_interference_band() {
 fn closed_loop_tier_routing_stretches_within_the_analytic_bound() {
     let trace = ab_trace();
     let exp = PolicyExperiment::new(ab_config(), PolicySpec::Tiered);
-    let r = exp.run(&trace);
+    let r = exp.run(&trace, &Obs::off());
     assert!(r.policy.stats.policy_tier_routes > 0, "routing must reroute some jobs");
     assert!(
         r.policy.stats.slow_tier_jobs > r.baseline.stats.slow_tier_jobs,
@@ -191,7 +191,7 @@ fn policy_decisions_are_traced_as_events() {
     ] {
         let sink = RingSink::new(TraceLevel::Events, 1_000_000);
         let exp = PolicyExperiment::new(cfg.clone(), spec);
-        let r = exp.run_observed(&trace, &Obs::new(&sink));
+        let r = exp.run(&trace, &Obs::new(&sink));
         let names: std::collections::HashSet<&str> =
             sink.records().iter().map(|rec| rec.name).collect();
         assert!(

@@ -673,11 +673,13 @@ builder, CoV folds, mergeable quantile sketch / Welford / histogram \
 summaries) over a thread-local scratch spill, so wall-clock and peak \
 memory scale with aggregate state, not sample count: peak RSS grows \
 only with the recorded dataset (one epilog record per job, plus \
-O(threads) in-flight series scratch bounded by the SPSC channel \
-capacity), not with the synthesized sample count. `peak_rss_bytes` is \
-recorded in every `--bench-json` report and regression-gated by \
-`scripts/check_bench.py`. End-to-end and per-layer measurements, with \
-the hardware they were taken on, are in `perfbench/README.md`.\n";
+O(threads) series scratch, the results in transit on the bounded \
+channel, and the reorder backlog of results that finished ahead of \
+the oldest unfinished job), not with the synthesized sample count. \
+`peak_rss_bytes` is recorded in every `--bench-json` report and \
+regression-gated by `scripts/check_bench.py`. End-to-end and per-layer \
+measurements, with the hardware they were taken on, are in \
+`perfbench/README.md`.\n";
 
 /// The query-service section of the generated report: the serve-once
 /// architecture, the load-mix definitions, and the gates.
@@ -688,7 +690,7 @@ long-running system: `Service::build` runs the seeded simulation once \
 freezes the result as immutable shared state; every subsequent query \
 — point statistic, rendered figure, policy A/B arm, data-quality \
 round trip — is a pure function of `(scenario, seed, query)` computed \
-on a work-stealing executor behind a single-flight memoization cache. \
+on a shared-queue executor behind a single-flight memoization cache. \
 Because responses are pure renders of frozen state, the determinism \
 contract extends to serving for free: cache temperature, thread \
 budget, and arrival interleaving can change *latency* but never \

@@ -145,8 +145,8 @@ fn parse_args() -> Args {
 }
 
 /// Submissions kept in flight at once. Deep enough to exercise
-/// coalescing and stealing, shallow enough that latency still reflects
-/// service time rather than pure queueing.
+/// coalescing and keep every worker busy, shallow enough that latency
+/// still reflects service time rather than pure queueing.
 const WINDOW: usize = 32;
 
 /// One mix's measurements.

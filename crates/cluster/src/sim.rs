@@ -385,10 +385,11 @@ impl Simulation {
         // Streaming telemetry synthesis, decoupled from the event
         // loop. Each epilog is a pure function of (job spec, start,
         // end, exit), so producers parallelize freely; `par_stream`
-        // delivers results in completion order through bounded SPSC
-        // channels, which keeps the dataset byte-identical to the old
-        // materialize-everything batch at any thread count while
-        // bounding in-flight epilogs to O(threads x channel capacity).
+        // carries results over one bounded channel and reorders them
+        // into input order, which keeps the dataset byte-identical to
+        // the old materialize-everything batch at any thread count.
+        // The channel bounds epilogs in transit; the reorder buffer
+        // holds those that finished ahead of the oldest unfinished job.
         let batch_t0 = std::time::Instant::now();
         let jobs = trace.jobs();
         // The detailed subset is drawn from the *analyzed* GPU jobs

@@ -24,7 +24,7 @@
 //! - [`sink`]: the [`TraceSink`] trait and the [`NullSink`] /
 //!   [`RingSink`] / [`JsonlSink`] implementations, plus the cheap
 //!   [`Obs`] handle instrumented code carries.
-//! - [`metrics`]: counters, gauges, and log₂-bucketed histograms.
+//! - [`metrics`]: a shared counter and a log₂-bucketed histogram.
 //! - [`timeline`]: the cluster time-series ([`Timeline`]) sampled on
 //!   event-loop transitions — queue depth, running jobs, free GPUs,
 //!   requeue backlog, failure injections, checkpoint restores.
@@ -43,7 +43,7 @@ pub mod stagelog;
 pub mod timeline;
 
 pub use chrome::chrome_trace_json;
-pub use metrics::{Counter, Gauge, Histogram, SharedCounter};
+pub use metrics::{Histogram, SharedCounter};
 pub use record::{RecordKind, TraceLevel, TraceRecord, Value};
 pub use sink::{JsonlSink, NullSink, Obs, RingSink, TraceSink};
 pub use stagelog::{StageLog, StageSpan};

@@ -1,4 +1,4 @@
-//! A work-stealing request executor for long-running services.
+//! A resident request executor for long-running services.
 //!
 //! [`par_map`](crate::par_map) and friends are *batch* helpers: they
 //! spawn scoped workers, drain one input slice, and join. A query
@@ -6,13 +6,11 @@
 //! one-shot requests from many client threads over its whole lifetime.
 //! [`Executor`] provides that:
 //!
-//! - Submitted tasks are distributed round-robin across per-worker
-//!   deques; a worker drains its own deque LIFO (fresh tasks are
-//!   cache-hot) and **steals FIFO from its siblings** when its own runs
-//!   dry, so a burst landing on one deque spreads across the pool.
-//! - Idle workers park on a condvar guarded by a pending-task count —
-//!   a semaphore, not a timeout loop — so wakeups are prompt and an
-//!   idle pool burns no CPU.
+//! - Submitted tasks go into one shared FIFO queue (an
+//!   [`mpsc::channel`]); whichever worker is free takes the next one,
+//!   so a long task never holds back the tasks queued behind it.
+//! - Idle workers block in `recv` (or on the mutex around the shared
+//!   receiver), so wakeups are prompt and an idle pool burns no CPU.
 //! - Tasks are opaque `FnOnce` boxes; result delivery is the caller's
 //!   business (the serving layer pairs each task with a channel).
 //!
@@ -21,77 +19,11 @@
 //! exactly the contract the memoization layer ([`crate::cache`])
 //! enforces for query results.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 /// One submitted unit of work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared pool state.
-struct Inner {
-    /// Per-worker deques. Owners pop from the back (LIFO), thieves
-    /// steal from the front (FIFO), so a stolen task is the oldest —
-    /// the one least likely to be cache-hot on its home worker.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Count of submitted-but-unclaimed tasks; the parking semaphore.
-    pending: Mutex<usize>,
-    /// Signals parked workers that `pending` grew or shutdown began.
-    available: Condvar,
-    /// Set once by [`Executor::drop`]; workers exit when the queues
-    /// are drained.
-    shutdown: AtomicBool,
-    /// Round-robin cursor for task placement.
-    next_queue: AtomicUsize,
-}
-
-impl Inner {
-    /// Claims one task: own deque first (back), then siblings (front).
-    /// Called only after winning a `pending` credit, so a task exists
-    /// *somewhere*; a miss means its push is still landing and the
-    /// caller should spin briefly.
-    fn claim(&self, own: usize) -> Option<Task> {
-        if let Some(task) = self.queues[own].lock().expect("queue poisoned").pop_back() {
-            return Some(task);
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (own + offset) % n;
-            if let Some(task) = self.queues[victim].lock().expect("queue poisoned").pop_front() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// The worker loop: wait for a credit, claim a task, run it.
-    fn work(self: &Arc<Inner>, own: usize) {
-        loop {
-            {
-                let mut pending = self.pending.lock().expect("pending lock poisoned");
-                while *pending == 0 {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    pending = self.available.wait(pending).expect("pending lock poisoned");
-                }
-                *pending -= 1;
-            }
-            // The credit guarantees a task was pushed before the count
-            // rose; another worker may race us to that *specific* task,
-            // but credits == pushes, so one task per credit is always
-            // reachable once its push lands.
-            let task = loop {
-                match self.claim(own) {
-                    Some(task) => break task,
-                    None => thread::yield_now(),
-                }
-            };
-            task();
-        }
-    }
-}
 
 /// A resident pool of worker threads executing submitted one-shot
 /// tasks; see the module docs for the scheduling discipline.
@@ -99,7 +31,8 @@ impl Inner {
 /// Dropping the executor shuts the pool down: workers finish every
 /// already-submitted task, then exit and are joined.
 pub struct Executor {
-    inner: Arc<Inner>,
+    /// The queue's sending half; `None` only inside [`Drop`].
+    tasks: Option<mpsc::Sender<Task>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -112,30 +45,27 @@ impl std::fmt::Debug for Executor {
 impl Executor {
     /// A pool of exactly `threads` workers (at least 1).
     pub fn new(threads: usize) -> Executor {
-        let threads = threads.max(1);
-        let inner = Arc::new(Inner {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next_queue: AtomicUsize::new(0),
-        });
-        let workers = (0..threads)
+        let (tx, rx) = mpsc::channel::<Task>();
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..threads.max(1))
             .map(|i| {
-                let inner = inner.clone();
+                let rx = rx.clone();
                 thread::Builder::new()
                     .name(format!("sc-serve-worker-{i}"))
-                    .spawn(move || inner.work(i))
+                    .spawn(move || loop {
+                        // The guard is a temporary, released before the
+                        // task runs; recv fails once the sender is gone
+                        // and the queue is drained.
+                        let task = rx.lock().expect("task queue poisoned").recv();
+                        match task {
+                            Ok(task) => task(),
+                            Err(mpsc::RecvError) => break,
+                        }
+                    })
                     .expect("worker thread spawns")
             })
             .collect();
-        Executor { inner, workers }
-    }
-
-    /// A pool sized to the current `sc-par` thread budget
-    /// ([`crate::current_threads`]).
-    pub fn with_current_threads() -> Executor {
-        Executor::new(crate::current_threads())
+        Executor { tasks: Some(tx), workers }
     }
 
     /// Number of worker threads.
@@ -145,26 +75,19 @@ impl Executor {
 
     /// Submits one task for asynchronous execution.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        let i = self.inner.next_queue.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
-        self.inner.queues[i].lock().expect("queue poisoned").push_back(Box::new(task));
-        let mut pending = self.inner.pending.lock().expect("pending lock poisoned");
-        *pending += 1;
-        drop(pending);
-        self.inner.available.notify_one();
+        let tasks = self.tasks.as_ref().expect("sender lives until drop");
+        // Send fails only once every worker has died of a panicking
+        // task; the dropped task then drops whatever result channel it
+        // captured, so its caller sees a disconnect instead of hanging.
+        let _ = tasks.send(Box::new(task));
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            // Setting the flag under the pending lock closes the race
-            // with a worker between its shutdown check and cv.wait —
-            // it holds the lock across that window, so it either sees
-            // the flag or is woken by the notify below.
-            let _pending = self.inner.pending.lock().expect("pending lock poisoned");
-            self.inner.shutdown.store(true, Ordering::Release);
-        }
-        self.inner.available.notify_all();
+        // Closing the queue lets each worker drain what was submitted
+        // and then exit.
+        drop(self.tasks.take());
         let current = thread::current().id();
         for worker in self.workers.drain(..) {
             // A task that owns the last reference to a service can end
@@ -180,8 +103,7 @@ impl Drop for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::mpsc;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -219,9 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn skewed_bursts_are_stolen_by_idle_workers() {
-        // One long task pins its home worker; the burst behind it must
-        // complete anyway because siblings steal it.
+    fn one_blocked_task_does_not_hold_back_the_rest() {
+        // One long task pins the worker that took it; the burst queued
+        // behind it must complete anyway on the other workers.
         let exec = Executor::new(4);
         let (tx, rx) = mpsc::channel();
         let blocker = Arc::new(Mutex::new(()));
@@ -241,7 +163,7 @@ mod tests {
         // All short tasks finish while task 0 is still blocked.
         let mut done = Vec::new();
         for _ in 0..63 {
-            done.push(rx.recv_timeout(Duration::from_secs(10)).expect("stolen task completes"));
+            done.push(rx.recv_timeout(Duration::from_secs(10)).expect("queued task completes"));
         }
         assert!(!done.contains(&0));
         drop(held);
@@ -260,6 +182,26 @@ mod tests {
                 });
             }
         }
-        assert_eq!(count.load(Ordering::Relaxed), 200, "drop drains the queues before joining");
+        assert_eq!(count.load(Ordering::Relaxed), 200, "drop drains the queue before joining");
+    }
+
+    #[test]
+    fn executor_dropped_from_its_own_worker_detaches() {
+        let exec = Arc::new(Executor::new(2));
+        let last_ref = Arc::downgrade(&exec);
+        let (tx, rx) = mpsc::channel();
+        let owned = exec.clone();
+        exec.spawn(move || {
+            // Wait until the test has let go, so this task holds the
+            // last reference and runs the executor's Drop itself.
+            while Arc::strong_count(&owned) > 1 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(owned);
+            tx.send(()).expect("receiver alive");
+        });
+        drop(exec);
+        rx.recv_timeout(Duration::from_secs(10)).expect("task finishes without joining itself");
+        assert!(last_ref.upgrade().is_none(), "the task dropped the last reference");
     }
 }

@@ -13,11 +13,11 @@
 //! trivially small, so single-threaded runs pay no synchronization
 //! cost.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod executor;
-pub mod spsc;
 
 pub use cache::{CacheOutcome, CacheStats, MemoCache};
 pub use executor::Executor;
@@ -97,25 +97,29 @@ where
     })
 }
 
-/// Per-worker SPSC channel capacity for [`par_stream`]. Together with
-/// the reorder buffer this bounds in-flight results to
-/// `threads * (STREAM_CHANNEL_CAP + 1)` items regardless of input size.
+/// Shared-channel capacity per worker for [`par_stream`]: the channel
+/// holds at most `threads * STREAM_CHANNEL_CAP` results in transit.
 const STREAM_CHANNEL_CAP: usize = 64;
 
 /// Streaming variant of [`par_map`]: maps `f` over `items` in parallel
 /// and delivers each result to `consume` **in input order**, without
 /// ever materializing the full result vector.
 ///
-/// Workers claim items dynamically and push `(index, result)` pairs
-/// through bounded SPSC ring-buffer channels ([`spsc`]); the calling
-/// thread restores input order through a reorder buffer. Backpressure
-/// from the bounded channels caps buffered results at
-/// `threads * (capacity + 1)` items, so peak memory is O(aggregate
-/// state) + O(channel bound) instead of O(items).
+/// Workers claim items dynamically and send `(index, result)` pairs
+/// into one bounded [`mpsc::sync_channel`]; the calling thread blocks
+/// on the receiver and restores input order through a reorder buffer.
+/// The channel bounds results in transit to
+/// `threads * STREAM_CHANNEL_CAP`. The reorder buffer is not bounded
+/// by it: every arrival is drained into the buffer, which holds the
+/// results that finished ahead of the oldest unfinished item. Peak
+/// memory is O(aggregate state) + O(channel bound) + that reorder
+/// backlog, never the full O(items) result vector of [`par_map`]
+/// unless a single item stalls while every other one finishes.
 ///
 /// `consume` observes exactly the sequence
 /// `(0, f(&items[0])), (1, f(&items[1])), …` for any thread budget —
-/// the same determinism contract as [`par_map`].
+/// the same determinism contract as [`par_map`]. A panic in `f` is
+/// re-raised on the calling thread.
 pub fn par_stream<T, R, F, C>(items: &[T], f: F, mut consume: C)
 where
     T: Sync,
@@ -132,18 +136,12 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
-    let mut senders = Vec::with_capacity(threads);
-    let mut receivers = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = spsc::channel::<(usize, R)>(STREAM_CHANNEL_CAP);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-
+    let (tx, rx) = mpsc::sync_channel::<(usize, R)>(threads * STREAM_CHANNEL_CAP);
     let mut pending: BTreeMap<usize, R> = BTreeMap::new();
     let mut next = 0usize;
     thread::scope(|scope| {
-        for tx in senders {
+        for _ in 0..threads {
+            let tx = tx.clone();
             let (cursor, f) = (&cursor, &f);
             scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -153,42 +151,17 @@ where
                 }
             });
         }
+        drop(tx);
 
-        // Consume on the calling thread, restoring input order through a
-        // reorder buffer. Out-of-order arrivals are bounded by the
-        // channel capacities: a worker that runs ahead blocks in send().
-        while next < items.len() {
-            let mut progressed = false;
-            for rx in &mut receivers {
-                while let Some((i, result)) = rx.try_recv() {
-                    pending.insert(i, result);
-                    progressed = true;
-                }
-            }
+        // The receiver is moved in here so that a panicking `consume`
+        // drops it and unblocks every worker stuck in send(). The loop
+        // ends once every worker has dropped its sender, including one
+        // that panicked mid-item; the scope join then re-raises it.
+        for (i, result) in rx {
+            pending.insert(i, result);
             while let Some(result) = pending.remove(&next) {
                 consume(next, result);
                 next += 1;
-            }
-            if !progressed && next < items.len() {
-                if receivers.iter().all(|rx| rx.sender_gone()) {
-                    // Observing sender_gone (Acquire) orders us after the
-                    // producer's final send, so one more drain sees
-                    // everything ever sent; if an index is still missing,
-                    // a worker panicked mid-item. Stop consuming; the
-                    // scope join below re-raises the worker's panic.
-                    let mut drained = false;
-                    for rx in &mut receivers {
-                        while let Some((i, result)) = rx.try_recv() {
-                            pending.insert(i, result);
-                            drained = true;
-                        }
-                    }
-                    if !drained && !pending.contains_key(&next) {
-                        break;
-                    }
-                } else {
-                    thread::yield_now();
-                }
             }
         }
     });
@@ -306,6 +279,36 @@ mod tests {
             assert_eq!(seen, sequential, "budget {budget}");
         }
         set_max_threads(saved);
+    }
+
+    #[test]
+    fn par_stream_propagates_a_worker_panic() {
+        let _guard = BUDGET_LOCK.lock().unwrap();
+        let saved = current_threads();
+        set_max_threads(2);
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            // Enough items to fill the channel, so workers are blocked
+            // in send() when the consumer panics.
+            let items: Vec<u64> = (0..10_000).collect();
+            let in_worker = std::panic::catch_unwind(|| {
+                par_stream(
+                    &items,
+                    |&x| {
+                        assert!(x != 37, "injected worker panic");
+                        x
+                    },
+                    |_, _| {},
+                )
+            });
+            let in_consumer = std::panic::catch_unwind(|| {
+                par_stream(&items, |&x| x, |i, _| assert!(i != 37, "injected consumer panic"))
+            });
+            tx.send((in_worker.is_err(), in_consumer.is_err())).expect("test thread waits");
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(30));
+        set_max_threads(saved);
+        assert_eq!(panicked, Ok((true, true)), "a panic is re-raised, not hung on or swallowed");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! - a [`sc_par::MemoCache`] keyed on [`QueryKey`] with single-flight
 //!   dedup — concurrent identical queries coalesce onto one
 //!   computation;
-//! - a [`sc_par::Executor`] (work-stealing, fixed thread budget) that
+//! - a [`sc_par::Executor`] (one shared queue, fixed thread budget) that
 //!   runs [`Service::submit`] requests; [`Pending::wait`] joins one.
 //!
 //! Failures are served in-band: a query whose computation cannot
@@ -138,7 +138,7 @@ pub struct Completed {
 }
 
 /// The query service: one frozen world, a memoizing cache, and a
-/// work-stealing request executor.
+/// shared-queue request executor.
 pub struct Service {
     config: ServeConfig,
     scenario: String,

@@ -66,11 +66,6 @@ impl Ecdf {
         self.sorted.is_empty()
     }
 
-    /// The sorted observations underlying this ECDF.
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Fraction of observations `<= x` (the CDF evaluated at `x`).
     pub fn fraction_at_most(&self, x: f64) -> f64 {
         let idx = self.sorted.partition_point(|v| *v <= x);

@@ -37,15 +37,6 @@ impl GpuTimeSeries {
         self.len() == 0
     }
 
-    /// Extracts one metric of one GPU as a scalar series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu` is out of range.
-    pub fn metric_series(&self, gpu: usize, f: impl Fn(&GpuMetricSample) -> f64) -> Vec<f64> {
-        self.per_gpu[gpu].iter().map(f).collect()
-    }
-
     /// Per-GPU end-of-job aggregates — what the epilog reduces the series
     /// to for the main dataset.
     pub fn aggregates(&self) -> Vec<GpuAggregates> {

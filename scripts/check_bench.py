@@ -96,7 +96,6 @@ STREAMING_GATES = [
     Gate("ceiling", "sketch_push_merge_100k", 0.100),
     Gate("ceiling", "welford_push_merge_100k", 0.050),
     Gate("ceiling", "histogram_push_merge_100k", 0.050),
-    Gate("ceiling", "spsc_send_recv_100k", 0.100),
     Gate("ceiling", "par_stream_order_10k", 0.005),
     Gate("ceiling", "stream_detail_30min_2gpu", 0.010),
 ]

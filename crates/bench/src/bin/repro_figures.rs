@@ -66,7 +66,7 @@
 //! `--trace` is given); the `SC_OBS=level[:file]` environment variable
 //! supplies a default when neither flag is present.
 
-use sc_bench::{peak_rss_bytes, Cli};
+use sc_bench::{peak_rss_bytes, per_sec, report_json, Cli};
 use sc_cluster::{FailureModel, SimConfig, Simulation};
 use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, DatasetReport};
 use sc_learn::ArchetypePredictor;
@@ -76,6 +76,7 @@ use sc_policy::{ExperimentResult, PolicyExperiment, PolicySpec};
 use sc_scenario::{CrossSystemFig, FailureScenario, Scenario};
 use sc_telemetry::DataQualityProfile;
 use sc_workload::Trace;
+use serde::Serialize;
 
 struct Args {
     /// The run's configuration: the `supercloud` preset or
@@ -390,111 +391,161 @@ fn trace_settings(args: &Args) -> (TraceLevel, Option<String>) {
     }
 }
 
-/// One timed pipeline stage for the `--bench-json` report.
-struct Stage {
-    name: &'static str,
+/// The `--bench-json` report: the four timed pipeline stages and the
+/// run's totals.
+#[derive(Serialize)]
+struct BenchReport {
+    threads: usize,
+    scale: f64,
+    seed: u64,
+    jobs: usize,
+    stages: Stages,
+    peak_rss_bytes: u64,
+    total_secs: f64,
+    total_jobs_per_sec: f64,
+}
+
+/// The four timed pipeline stages, in run order.
+#[derive(Clone, Copy, Serialize)]
+struct Stages {
+    trace_gen: StageTiming,
+    sim_event_loop: StageTiming,
+    telemetry: StageTiming,
+    analysis: StageTiming,
+}
+
+/// One stage's wall-clock seconds and the jobs it processed per second.
+#[derive(Clone, Copy, Serialize)]
+struct StageTiming {
     secs: f64,
+    jobs_per_sec: f64,
 }
 
-/// Renders the benchmark report by hand: four stages and a handful of
-/// scalars do not warrant a serialization dependency in a binary.
-fn bench_json(threads: usize, scale: f64, seed: u64, jobs: usize, stages: &[Stage]) -> String {
-    let total: f64 = stages.iter().map(|s| s.secs).sum();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str("  \"stages\": {\n");
-    for (i, s) in stages.iter().enumerate() {
-        let comma = if i + 1 < stages.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": {{ \"secs\": {:.6}, \"jobs_per_sec\": {:.1} }}{comma}\n",
-            s.name,
-            s.secs,
-            jobs as f64 / s.secs.max(1e-9)
-        ));
+impl StageTiming {
+    fn new(jobs: usize, secs: f64) -> Self {
+        StageTiming { secs, jobs_per_sec: per_sec(jobs, secs) }
     }
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"peak_rss_bytes\": {},\n", peak_rss_bytes()));
-    out.push_str(&format!("  \"total_secs\": {total:.6},\n"));
-    out.push_str(&format!("  \"total_jobs_per_sec\": {:.1}\n", jobs as f64 / total.max(1e-9)));
-    out.push_str("}\n");
-    out
 }
 
-/// Renders the classifier gate metrics by hand, like [`bench_json`]:
-/// five scalars do not warrant a serialization dependency.
-/// `goodput_delta_pp` is `null` unless the `coshare-predicted` policy
-/// harness ran its oracle arm alongside.
-fn classifier_json(fig: &ClassifierFig, policy: Option<&ExperimentResult>) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"accuracy\": {:.6},\n", fig.accuracy));
-    out.push_str(&format!("  \"centroid_accuracy\": {:.6},\n", fig.centroid_accuracy));
-    out.push_str(&format!("  \"train_jobs\": {},\n", fig.train_count));
-    out.push_str(&format!("  \"test_jobs\": {},\n", fig.test_count));
-    match policy.and_then(|r| r.predicted_vs_oracle_goodput_pp()) {
-        Some(pp) => out.push_str(&format!("  \"goodput_delta_pp\": {pp:.6}\n")),
-        None => out.push_str("  \"goodput_delta_pp\": null\n"),
+impl Stages {
+    /// `(name, timing)` pairs in run order, for the markdown table.
+    fn named(&self) -> [(&'static str, StageTiming); 4] {
+        [
+            ("trace_gen", self.trace_gen),
+            ("sim_event_loop", self.sim_event_loop),
+            ("telemetry", self.telemetry),
+            ("analysis", self.analysis),
+        ]
     }
-    out.push_str("}\n");
-    out
 }
 
-/// Renders the reliability gate metrics by hand, like [`bench_json`]:
-/// the three scalars `scripts/check_bench.py --reliability` gates, plus
-/// the per-class sweep verdicts and growth timings behind them.
-/// Non-finite values (a class the model cannot fail, an empty growth
-/// list) render as `null`, which the gate script treats as "not
-/// measured" for detail rows and a hard failure for gated scalars.
-fn reliability_json(report: &sc_core::ReliabilityReport) -> String {
-    let fin = |v: f64, prec: usize| {
-        if v.is_finite() {
-            format!("{v:.prec$}")
-        } else {
-            "null".to_string()
+impl BenchReport {
+    fn new(threads: usize, scale: f64, seed: u64, jobs: usize, stages: Stages) -> Self {
+        let total_secs: f64 = stages.named().iter().map(|(_, t)| t.secs).sum();
+        BenchReport {
+            threads,
+            scale,
+            seed,
+            jobs,
+            stages,
+            peak_rss_bytes: peak_rss_bytes(),
+            total_secs,
+            total_jobs_per_sec: per_sec(jobs, total_secs),
         }
-    };
-    let mut out = String::from("{\n");
-    match report.sweep.worst_ratio() {
-        Some(r) => out.push_str(&format!("  \"sweep_worst_ratio\": {},\n", fin(r, 6))),
-        None => out.push_str("  \"sweep_worst_ratio\": null,\n"),
     }
-    out.push_str(&format!(
-        "  \"frontier_monotone_violation\": {},\n",
-        fin(report.frontier.monotone_violation(), 6)
-    ));
-    let min_jps =
-        report.growth_timings.iter().map(|t| t.jobs_per_sec()).fold(f64::INFINITY, f64::min);
-    out.push_str(&format!("  \"growth_min_jobs_per_sec\": {},\n", fin(min_jps, 1)));
-    out.push_str("  \"sweep_classes\": [\n");
-    for (i, c) in report.sweep.classes.iter().enumerate() {
-        let comma = if i + 1 < report.sweep.classes.len() { "," } else { "" };
-        let sim = c.simulated_secs.map_or("null".to_string(), |t| fin(t, 1));
-        let ratio = c.ratio().map_or("null".to_string(), |r| fin(r, 6));
-        out.push_str(&format!(
-            "    {{ \"label\": \"{}\", \"gpus\": {}, \"analytic_secs\": {}, \
-             \"simulated_secs\": {sim}, \"ratio\": {ratio} }}{comma}\n",
-            c.label,
-            c.gpus,
-            fin(c.analytic_secs, 1)
-        ));
+}
+
+/// The classifier gate metrics. `goodput_delta_pp` is `null` unless
+/// the `coshare-predicted` policy harness ran its oracle arm alongside.
+#[derive(Serialize)]
+struct ClassifierReport {
+    accuracy: f64,
+    centroid_accuracy: f64,
+    train_jobs: usize,
+    test_jobs: usize,
+    goodput_delta_pp: Option<f64>,
+}
+
+impl ClassifierReport {
+    fn new(fig: &ClassifierFig, policy: Option<&ExperimentResult>) -> Self {
+        ClassifierReport {
+            accuracy: fig.accuracy,
+            centroid_accuracy: fig.centroid_accuracy,
+            train_jobs: fig.train_count,
+            test_jobs: fig.test_count,
+            goodput_delta_pp: policy.and_then(|r| r.predicted_vs_oracle_goodput_pp()),
+        }
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"growth\": [\n");
-    for (i, t) in report.growth_timings.iter().enumerate() {
-        let comma = if i + 1 < report.growth_timings.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"factor\": {}, \"jobs\": {}, \"event_loop_secs\": {:.6}, \
-             \"jobs_per_sec\": {:.1} }}{comma}\n",
-            t.factor,
-            t.jobs,
-            t.event_loop_secs,
-            t.jobs_per_sec()
-        ));
+}
+
+/// The reliability gate metrics: the three scalars
+/// `scripts/check_bench.py --reliability` gates, plus the per-class
+/// sweep verdicts and growth timings behind them. Non-finite values (a
+/// class the model cannot fail, an empty growth list) encode as `null`,
+/// which the gate script treats as "not measured" for detail rows and
+/// a hard failure for gated scalars.
+#[derive(Serialize)]
+struct ReliabilityGates {
+    sweep_worst_ratio: Option<f64>,
+    frontier_monotone_violation: f64,
+    growth_min_jobs_per_sec: f64,
+    sweep_classes: Vec<SweepClassRow>,
+    growth: Vec<GrowthTimingRow>,
+}
+
+/// One size class's simulated-vs-analytic checkpoint optimum.
+#[derive(Serialize)]
+struct SweepClassRow {
+    label: String,
+    gpus: u32,
+    analytic_secs: f64,
+    simulated_secs: Option<f64>,
+    ratio: Option<f64>,
+}
+
+/// One growth-study run's event-loop timing.
+#[derive(Serialize)]
+struct GrowthTimingRow {
+    factor: f64,
+    jobs: usize,
+    event_loop_secs: f64,
+    jobs_per_sec: f64,
+}
+
+impl ReliabilityGates {
+    fn new(report: &sc_core::ReliabilityReport) -> Self {
+        ReliabilityGates {
+            sweep_worst_ratio: report.sweep.worst_ratio(),
+            frontier_monotone_violation: report.frontier.monotone_violation(),
+            growth_min_jobs_per_sec: report
+                .growth_timings
+                .iter()
+                .map(|t| t.jobs_per_sec())
+                .fold(f64::INFINITY, f64::min),
+            sweep_classes: report
+                .sweep
+                .classes
+                .iter()
+                .map(|c| SweepClassRow {
+                    label: c.label.clone(),
+                    gpus: c.gpus,
+                    analytic_secs: c.analytic_secs,
+                    simulated_secs: c.simulated_secs,
+                    ratio: c.ratio(),
+                })
+                .collect(),
+            growth: report
+                .growth_timings
+                .iter()
+                .map(|t| GrowthTimingRow {
+                    factor: t.factor,
+                    jobs: t.jobs,
+                    event_loop_secs: t.event_loop_secs,
+                    jobs_per_sec: t.jobs_per_sec(),
+                })
+                .collect(),
+        }
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The reliability figure family as SVGs: the goodput frontier and the
@@ -948,15 +999,16 @@ fn main() {
         eprintln!("wrote {path} (sim-time JSONL) and {chrome_path} (Perfetto stages)");
     }
 
-    let stages = [
-        Stage { name: "trace_gen", secs: trace_gen_secs },
-        Stage { name: "sim_event_loop", secs: timings.event_loop_secs },
-        Stage { name: "telemetry", secs: timings.telemetry_secs },
-        Stage { name: "analysis", secs: analysis_secs },
-    ];
+    let jobs = trace.jobs().len();
+    let stages = Stages {
+        trace_gen: StageTiming::new(jobs, trace_gen_secs),
+        sim_event_loop: StageTiming::new(jobs, timings.event_loop_secs),
+        telemetry: StageTiming::new(jobs, timings.telemetry_secs),
+        analysis: StageTiming::new(jobs, analysis_secs),
+    };
     if let Some(path) = &args.bench_json {
-        let json = bench_json(sc_par::current_threads(), scale, seed, trace.jobs().len(), &stages);
-        std::fs::write(path, json)
+        let bench = BenchReport::new(sc_par::current_threads(), scale, seed, jobs, stages);
+        std::fs::write(path, report_json(&bench))
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write bench json {path}: {e}")));
         eprintln!("wrote {path}");
     }
@@ -1092,7 +1144,7 @@ fn main() {
     }
     if let Some(path) = &args.classifier_json {
         let fig = classifier_fig.as_ref().expect("--classifier-json implies --classify");
-        std::fs::write(path, classifier_json(fig, policy_ab.as_ref()))
+        std::fs::write(path, report_json(&ClassifierReport::new(fig, policy_ab.as_ref())))
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write classifier json {path}: {e}")));
         eprintln!("wrote {path}");
     }
@@ -1185,7 +1237,7 @@ fn main() {
     });
     if let Some(path) = &args.reliability_json {
         let report = reliability_report.as_ref().expect("--reliability-json implies --reliability");
-        std::fs::write(path, reliability_json(report))
+        std::fs::write(path, report_json(&ReliabilityGates::new(report)))
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write reliability json {path}: {e}")));
         eprintln!("wrote {path}");
     }
@@ -1211,13 +1263,8 @@ fn main() {
             seed,
             sc_par::current_threads()
         ));
-        for s in &stages {
-            md.push_str(&format!(
-                "| {} | {:.3} | {:.0} |\n",
-                s.name,
-                s.secs,
-                trace.jobs().len() as f64 / s.secs.max(1e-9)
-            ));
+        for (name, t) in stages.named() {
+            md.push_str(&format!("| {name} | {:.3} | {:.0} |\n", t.secs, t.jobs_per_sec));
         }
         md.push_str(&format!(
             "\nPeak RSS this run: {:.1} MiB.\n",
@@ -1431,5 +1478,54 @@ mod tests {
                 assert_eq!(scenario_of(flags), want, "{flags:?} alone");
             }
         }
+    }
+
+    /// A reliability report in which every gated scalar and detail row
+    /// is unmeasured: no class with both optima, an infinite frontier
+    /// step, and a growth run with no usable timing.
+    fn unmeasured_reliability_report() -> sc_core::ReliabilityReport {
+        use sc_core::figures::reliability::{FrontierRow, SweepClassVerdict};
+        sc_core::ReliabilityReport {
+            size_fig: sc_core::ReliabilitySizeFig { rows: Vec::new() },
+            frontier: sc_core::GoodputFrontierFig {
+                class_labels: vec!["small".into(), "large".into()],
+                class_gpus: vec![1, 16],
+                rows: vec![FrontierRow {
+                    mtbf_factor: 1.0,
+                    goodput_by_class: vec![Some(0.0), Some(f64::INFINITY)],
+                    overall: 0.5,
+                }],
+            },
+            sweep: sc_core::CheckpointSweepFig {
+                rows: Vec::new(),
+                classes: vec![SweepClassVerdict {
+                    label: "large".into(),
+                    gpus: 16,
+                    analytic_secs: f64::NAN,
+                    simulated_secs: None,
+                }],
+            },
+            growth: None,
+            growth_timings: vec![sc_core::GrowthTiming {
+                factor: 2.0,
+                jobs: 10,
+                event_loop_secs: f64::NAN,
+                telemetry_secs: 0.0,
+            }],
+        }
+    }
+
+    #[test]
+    fn unmeasured_reliability_values_encode_as_null() {
+        let json = report_json(&ReliabilityGates::new(&unmeasured_reliability_report()));
+        assert_eq!(
+            json,
+            "{\"sweep_worst_ratio\":null,\"frontier_monotone_violation\":null,\
+             \"growth_min_jobs_per_sec\":null,\
+             \"sweep_classes\":[{\"label\":\"large\",\"gpus\":16,\"analytic_secs\":null,\
+             \"simulated_secs\":null,\"ratio\":null}],\
+             \"growth\":[{\"factor\":2.0,\"jobs\":10,\"event_loop_secs\":null,\
+             \"jobs_per_sec\":null}]}\n"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! serve_load [--scenario NAME|FILE] [--scale F] [--seed N] [--threads N]
-//!            [--requests N] [--out BENCH_serve.json] [--trace FILE]
+//!            [--requests N] [--cache-capacity N] [--out BENCH_serve.json]
+//!            [--trace FILE]
 //! ```
 //!
 //! Builds one frozen-world [`Service`], then drives four request mixes
@@ -35,9 +36,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sc_bench::{peak_rss_bytes, Cli};
+use sc_bench::{peak_rss_bytes, per_sec, report_json, Cli};
 use sc_serve::{Digest, Pending, Query, ServeConfig, Service};
 use sc_stats::percentile;
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,7 +56,8 @@ struct Args {
 }
 
 const USAGE: &str = "usage: serve_load [--scenario NAME|FILE] [--scale F] [--seed N]
-                  [--threads N] [--requests N] [--out FILE] [--trace FILE]
+                  [--threads N] [--requests N] [--cache-capacity N]
+                  [--out FILE] [--trace FILE]
 
   --scenario S   build the world from a scenario preset or TOML file
                  (presets: supercloud|philly|nersc|in2p3; default: the
@@ -149,36 +152,53 @@ fn parse_args() -> Args {
 /// still reflects service time rather than pure queueing.
 const WINDOW: usize = 32;
 
+/// The serve report, printed to stdout and written to `--out`.
+#[derive(Serialize)]
+struct ServeReport {
+    scenario: String,
+    threads: usize,
+    scale: f64,
+    seed: u64,
+    requests_per_mix: usize,
+    build_secs: f64,
+    mixes: Mixes,
+    cold_baseline: ColdBaseline,
+    storm_speedup: f64,
+    digest: String,
+    peak_rss_bytes: u64,
+}
+
+/// The four request mixes, in run order.
+#[derive(Serialize)]
+struct Mixes {
+    point_flood: MixReport,
+    cold_ab: MixReport,
+    cache_storm: MixReport,
+    steady: MixReport,
+}
+
 /// One mix's measurements.
+#[derive(Serialize)]
 struct MixReport {
-    name: &'static str,
     requests: usize,
     secs: f64,
-    /// Completion latencies, milliseconds, unsorted.
-    latencies_ms: Vec<f64>,
+    qps: f64,
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
     hits: u64,
     misses: u64,
     coalesced: u64,
     evictions: u64,
+    hit_rate: f64,
 }
 
-impl MixReport {
-    fn qps(&self) -> f64 {
-        self.requests as f64 / self.secs.max(1e-9)
-    }
-
-    fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.coalesced;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.hits + self.coalesced) as f64 / total as f64
-    }
-
-    fn pct(&self, p: f64) -> f64 {
-        percentile(&self.latencies_ms, p)
-            .unwrap_or_else(|e| CLI.fail(&format!("latency percentile for {}: {e}", self.name)))
-    }
+/// The uncached replay of the storm surface.
+#[derive(Serialize)]
+struct ColdBaseline {
+    requests: usize,
+    secs: f64,
+    qps: f64,
 }
 
 /// Drives `queries` through the service with a bounded in-flight
@@ -210,16 +230,23 @@ fn run_mix(
         join(p, &mut latencies_ms, digest);
     }
     let secs = t0.elapsed().as_secs_f64();
-    let delta = svc.cache_stats().since(&before);
+    let cache = svc.cache_stats().since(&before);
+    let pct = |p: f64| {
+        percentile(&latencies_ms, p)
+            .unwrap_or_else(|e| CLI.fail(&format!("latency percentile for {name}: {e}")))
+    };
     MixReport {
-        name,
         requests: queries.len(),
         secs,
-        latencies_ms,
-        hits: delta.hits,
-        misses: delta.misses,
-        coalesced: delta.coalesced,
-        evictions: delta.evictions,
+        qps: per_sec(queries.len(), secs),
+        p50_ms: pct(50.0),
+        p95_ms: pct(95.0),
+        p99_ms: pct(99.0),
+        hits: cache.hits,
+        misses: cache.misses,
+        coalesced: cache.coalesced,
+        evictions: cache.evictions,
+        hit_rate: cache.hit_rate(),
     }
 }
 
@@ -245,63 +272,6 @@ fn steady_stream(n: usize, rng: &mut StdRng) -> Vec<Query> {
             }
         })
         .collect()
-}
-
-/// Renders the report by hand, matching the repo's other bench JSONs:
-/// four mixes and a handful of scalars do not warrant a serialization
-/// dependency in a binary.
-#[allow(clippy::too_many_arguments)]
-fn report_json(
-    args: &Args,
-    scenario: &str,
-    threads: usize,
-    build_secs: f64,
-    mixes: &[MixReport],
-    cold_requests: usize,
-    cold_secs: f64,
-    storm_speedup: f64,
-    digest_hex: &str,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"scale\": {},\n", args.scale));
-    out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!("  \"requests_per_mix\": {},\n", args.requests));
-    out.push_str(&format!("  \"build_secs\": {build_secs:.6},\n"));
-    out.push_str("  \"mixes\": {\n");
-    for (i, m) in mixes.iter().enumerate() {
-        let comma = if i + 1 < mixes.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": {{ \"requests\": {}, \"secs\": {:.6}, \"qps\": {:.1}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
-             \"hit_rate\": {:.4} }}{comma}\n",
-            m.name,
-            m.requests,
-            m.secs,
-            m.qps(),
-            m.pct(50.0),
-            m.pct(95.0),
-            m.pct(99.0),
-            m.hits,
-            m.misses,
-            m.coalesced,
-            m.evictions,
-            m.hit_rate(),
-        ));
-    }
-    out.push_str("  },\n");
-    let cold_qps = cold_requests as f64 / cold_secs.max(1e-9);
-    out.push_str(&format!(
-        "  \"cold_baseline\": {{ \"requests\": {cold_requests}, \"secs\": {cold_secs:.6}, \
-         \"qps\": {cold_qps:.1} }},\n"
-    ));
-    out.push_str(&format!("  \"storm_speedup\": {storm_speedup:.1},\n"));
-    out.push_str(&format!("  \"digest\": \"{digest_hex}\",\n"));
-    out.push_str(&format!("  \"peak_rss_bytes\": {}\n", peak_rss_bytes()));
-    out.push_str("}\n");
-    out
 }
 
 fn main() {
@@ -331,18 +301,17 @@ fn main() {
     eprintln!("world frozen in {:.2}s; serving {}", svc.build_secs(), svc.scenario());
 
     let mut digest = Digest::new();
-    let mut mixes = Vec::with_capacity(4);
 
     // Each mix draws from its own seeded stream, so adding a mix never
     // perturbs the others' query sequences.
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x0070_6f69_6e74); // "point"
     let flood = random_stream(&Query::point_queries(), args.requests, &mut rng);
-    mixes.push(run_mix(&svc, "point_flood", &flood, &mut digest));
-    eprintln!("point_flood: {:.0} req/s", mixes[mixes.len() - 1].qps());
+    let point_flood = run_mix(&svc, "point_flood", &flood, &mut digest);
+    eprintln!("point_flood: {:.0} req/s", point_flood.qps);
 
     let what_ifs = Query::what_if_queries();
-    mixes.push(run_mix(&svc, "cold_ab", &what_ifs, &mut digest));
-    eprintln!("cold_ab: p99 {:.0} ms", mixes[mixes.len() - 1].pct(99.0));
+    let cold_ab = run_mix(&svc, "cold_ab", &what_ifs, &mut digest);
+    eprintln!("cold_ab: p99 {:.0} ms", cold_ab.p99_ms);
 
     // Warm the whole cheap surface (blocking, excluded from latency and
     // digest: the storm re-serves every one of these bodies), then
@@ -354,13 +323,12 @@ fn main() {
     }
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x0073_746f_726d); // "storm"
     let storm = random_stream(&surface, args.requests * 2, &mut rng);
-    mixes.push(run_mix(&svc, "cache_storm", &storm, &mut digest));
-    eprintln!("cache_storm: {:.0} req/s", mixes[mixes.len() - 1].qps());
+    let cache_storm = run_mix(&svc, "cache_storm", &storm, &mut digest);
+    eprintln!("cache_storm: {:.0} req/s", cache_storm.qps);
 
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x7374_6561_6479); // "steady"
-    let steady = steady_stream(args.requests, &mut rng);
-    mixes.push(run_mix(&svc, "steady", &steady, &mut digest));
-    eprintln!("steady: {:.0} req/s", mixes[mixes.len() - 1].qps());
+    let steady = run_mix(&svc, "steady", &steady_stream(args.requests, &mut rng), &mut digest);
+    eprintln!("steady: {:.0} req/s", steady.qps);
 
     // Cold-compute baseline: the storm surface once each, bypassing the
     // cache. Folded into the digest too — a cold render that diverged
@@ -370,22 +338,27 @@ fn main() {
         digest.update(svc.query_uncached(q).as_bytes());
     }
     let cold_secs = t0.elapsed().as_secs_f64();
-    let cold_qps = surface.len() as f64 / cold_secs.max(1e-9);
-    let storm = mixes.iter().find(|m| m.name == "cache_storm").expect("storm mix ran");
-    let storm_speedup = storm.qps() / cold_qps.max(1e-9);
-    eprintln!("cold baseline: {cold_qps:.1} req/s (storm speedup {storm_speedup:.0}x)");
+    let cold_baseline = ColdBaseline {
+        requests: surface.len(),
+        secs: cold_secs,
+        qps: per_sec(surface.len(), cold_secs),
+    };
+    let storm_speedup = cache_storm.qps / cold_baseline.qps.max(1e-9);
+    eprintln!("cold baseline: {:.1} req/s (storm speedup {storm_speedup:.0}x)", cold_baseline.qps);
 
-    let json = report_json(
-        &args,
-        svc.scenario(),
+    let json = report_json(&ServeReport {
+        scenario: svc.scenario().to_string(),
         threads,
-        svc.build_secs(),
-        &mixes,
-        surface.len(),
-        cold_secs,
+        scale: args.scale,
+        seed: args.seed,
+        requests_per_mix: args.requests,
+        build_secs: svc.build_secs(),
+        mixes: Mixes { point_flood, cold_ab, cache_storm, steady },
+        cold_baseline,
         storm_speedup,
-        &digest.hex(),
-    );
+        digest: digest.hex(),
+        peak_rss_bytes: peak_rss_bytes(),
+    });
     print!("{json}");
     if let Some(path) = &args.out {
         std::fs::write(path, &json)
@@ -397,5 +370,51 @@ fn main() {
         std::fs::write(path, trace)
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mix() -> MixReport {
+        MixReport {
+            requests: 1,
+            secs: 0.5,
+            qps: 2.0,
+            p50_ms: 1.0,
+            p95_ms: 1.0,
+            p99_ms: 1.0,
+            hits: 0,
+            misses: 1,
+            coalesced: 0,
+            evictions: 0,
+            hit_rate: 0.0,
+        }
+    }
+
+    #[test]
+    fn scenario_label_is_escaped_in_the_report() {
+        let report = ServeReport {
+            scenario: r#"smoke "quoted" \ name#0123456789abcdef:s0.005"#.to_string(),
+            threads: 1,
+            scale: 0.005,
+            seed: 42,
+            requests_per_mix: 1,
+            build_secs: 0.25,
+            mixes: Mixes { point_flood: mix(), cold_ab: mix(), cache_storm: mix(), steady: mix() },
+            cold_baseline: ColdBaseline { requests: 1, secs: 0.5, qps: 2.0 },
+            storm_speedup: 1.0,
+            digest: "0123456789abcdef".to_string(),
+            peak_rss_bytes: 0,
+        };
+        let json = report_json(&report);
+        assert!(
+            json.starts_with(
+                r#"{"scenario":"smoke \"quoted\" \\ name#0123456789abcdef:s0.005","threads":1,"#
+            ),
+            "{json}"
+        );
+        assert!(json.ends_with("\"peak_rss_bytes\":0}\n"), "{json}");
     }
 }

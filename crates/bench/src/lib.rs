@@ -2,30 +2,31 @@
 //!
 //! Every Criterion bench measures an analysis stage over the same
 //! deterministic simulation output, built once per process by
-//! [`bench_sim`]. The binaries share their error exits ([`Cli`]) and
-//! the peak-RSS probe ([`peak_rss_bytes`]).
+//! [`bench_sim`]. The binaries share their error exits ([`Cli`]), the
+//! report encoder ([`report_json`]) and the peak-RSS probe
+//! ([`peak_rss_bytes`]).
 
 #![warn(missing_docs)]
 
 use sc_cluster::{SimConfig, SimOutput, Simulation};
 use sc_workload::{Trace, WorkloadSpec};
+use serde::Serialize;
 use std::sync::OnceLock;
 
 static SIM: OnceLock<SimOutput> = OnceLock::new();
 
-/// A cached 4%-scale Supercloud simulation (≈3,000 jobs, 64 users) —
-/// large enough that every figure's population is non-degenerate, small
-/// enough that the bench suite stays in seconds.
+/// A cached simulation of [`bench_trace`] — large enough that every
+/// figure's population is non-degenerate, small enough that the bench
+/// suite stays in seconds.
 pub fn bench_sim() -> &'static SimOutput {
     SIM.get_or_init(|| {
-        let mut spec = WorkloadSpec::supercloud().scaled(0.04);
-        spec.users = 64;
-        let trace = Trace::generate(&spec, 20_230_101);
-        Simulation::new(SimConfig { detailed_series_jobs: 90, ..Default::default() }).run(&trace)
+        Simulation::new(SimConfig { detailed_series_jobs: 90, ..Default::default() })
+            .run(&bench_trace())
     })
 }
 
-/// The bench trace itself (for generator/scheduler benches).
+/// The bench trace: a 4%-scale Supercloud workload (≈3,000 jobs, 64
+/// users), also used directly by the generator/scheduler benches.
 pub fn bench_trace() -> Trace {
     let mut spec = WorkloadSpec::supercloud().scaled(0.04);
     spec.users = 64;
@@ -66,6 +67,20 @@ impl Cli {
         eprintln!("{}: {msg}", self.name);
         std::process::exit(1);
     }
+}
+
+/// `count / secs`, with `secs` floored so an instantaneous stage or mix
+/// still reports a finite rate.
+pub fn per_sec(count: usize, secs: f64) -> f64 {
+    count as f64 / secs.max(1e-9)
+}
+
+/// Encodes a report as compact JSON plus the trailing newline every
+/// bench report file ends with.
+pub fn report_json<T: Serialize>(report: &T) -> String {
+    let mut json = serde_json::to_string(report).expect("bench reports encode infallibly");
+    json.push('\n');
+    json
 }
 
 /// Peak resident set size of this process in bytes, from the kernel's

@@ -19,6 +19,16 @@ use sc_telemetry::stream::{stream_detail, TelemetryStreamSummary};
 use sc_workload::{JobSpec, PlannedOutcome, Trace};
 use serde::{Deserialize, Serialize};
 
+/// GPU sampling period for the detailed subset, seconds (100 ms in
+/// production).
+const GPU_SAMPLE_PERIOD_SECS: f64 = 0.1;
+
+/// Delay between a submission and the scheduling pass that can start
+/// it, seconds — Slurm's scheduler loop latency. The paper's median
+/// single-GPU queue wait of 3 seconds on an underloaded cluster is
+/// exactly this constant.
+const SCHED_LATENCY_SECS: f64 = 3.0;
+
 /// Simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -28,14 +38,6 @@ pub struct SimConfig {
     /// paper). Membership is decided by a deterministic hash so the
     /// subset is "a representative fraction of jobs".
     pub detailed_series_jobs: usize,
-    /// GPU sampling period for the detailed subset, seconds (100 ms in
-    /// production).
-    pub gpu_sample_period_secs: f64,
-    /// Delay between a submission and the scheduling pass that can
-    /// start it, seconds — Slurm's scheduler loop latency. The paper's
-    /// median single-GPU queue wait of 3 seconds on an underloaded
-    /// cluster is exactly this constant.
-    pub sched_latency_secs: f64,
     /// Queue discipline (ablation knob; production is EASY backfill).
     pub policy: crate::scheduler::SchedulePolicy,
     /// Optional failure-injection model. `None` (the default) matches
@@ -73,8 +75,6 @@ impl Default for SimConfig {
         SimConfig {
             cluster: ClusterSpec::supercloud(),
             detailed_series_jobs: 2_149,
-            gpu_sample_period_secs: 0.1,
-            sched_latency_secs: 3.0,
             policy: crate::scheduler::SchedulePolicy::EasyBackfill,
             failures: None,
             checkpoint: None,
@@ -399,7 +399,7 @@ impl Simulation {
             .max(1.0);
         let detailed_fraction =
             (self.config.detailed_series_jobs as f64 / expected_analyzed).min(1.0);
-        let sampler = GpuSampler::with_period(self.config.gpu_sample_period_secs);
+        let sampler = GpuSampler::with_period(GPU_SAMPLE_PERIOD_SECS);
         let mut sched_records: Vec<SchedulerRecord> = Vec::with_capacity(jobs.len());
         let mut gpu_records: Vec<GpuJobRecord> = Vec::new();
         let mut detailed: Vec<DetailedJobStats> = Vec::new();
@@ -616,7 +616,7 @@ impl<'a, 'p> EventLoop<'a, 'p> {
             p.admit(job, now);
         }
         self.scheduler.submit(idx, now);
-        self.queue.push(now + self.config.sched_latency_secs, Event::Tick);
+        self.queue.push(now + SCHED_LATENCY_SECS, Event::Tick);
     }
 
     /// An attempt reaches its pre-decided end. A finish whose attempt

@@ -125,25 +125,29 @@ impl TraceRecord {
                     let _ = write!(s, "{v}");
                 }
                 Value::F64(v) => write_f64(&mut s, *v),
-                Value::Str(v) => {
-                    s.push('"');
-                    for c in v.chars() {
-                        match c {
-                            '"' => s.push_str("\\\""),
-                            '\\' => s.push_str("\\\\"),
-                            c if (c as u32) < 0x20 => {
-                                let _ = write!(s, "\\u{:04x}", c as u32);
-                            }
-                            c => s.push(c),
-                        }
-                    }
-                    s.push('"');
-                }
+                Value::Str(v) => write_json_str(&mut s, v),
             }
         }
         s.push('}');
         s
     }
+}
+
+/// Writes `v` as a quoted JSON string: `"` and `\` are backslash-escaped
+/// and control characters become `\u00XX`.
+pub(crate) fn write_json_str(out: &mut String, v: &str) {
+    out.push('"');
+    for c in v.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Writes a float as JSON: shortest round-trip decimal for finite

@@ -151,15 +151,6 @@ impl Ecdf {
             })
             .collect()
     }
-
-    /// A fixed set of quantiles `(q, value)` convenient for text reports:
-    /// p1, p5, p10, p25, p50, p75, p90, p95, p99.
-    pub fn quantile_report(&self) -> Vec<(f64, f64)> {
-        [0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99]
-            .iter()
-            .map(|&q| (q, self.quantile(q)))
-            .collect()
-    }
 }
 
 impl FromIterator<f64> for Ecdf {

@@ -6,7 +6,9 @@
 //! storage, copied them to the central file system in the epilog, and
 //! finally joined the scheduler-side and GPU-side datasets by job id.
 //!
-//! This crate models that pipeline faithfully:
+//! This crate models that pipeline's data; the prolog/epilog lifecycle
+//! itself runs in the simulator, whose event loop synthesizes each
+//! finished job's epilog and streams it through [`stream`]:
 //!
 //! - [`metrics`]: the sample schema (`nvidia-smi` fields the paper uses:
 //!   SM %, memory-bandwidth %, memory-size %, PCIe Tx/Rx, power).
@@ -18,7 +20,6 @@
 //!   utilization during the run were reported at the end of the job").
 //! - [`record`]: the per-job record schema joining Slurm-side and
 //!   GPU-side information.
-//! - [`collector`]: prolog/epilog lifecycle and node-local buffering.
 //! - [`dataset`]: the joined dataset with the paper's 30-second filter.
 //! - [`phases`]: active/idle phase analysis over sampled series.
 //! - [`stream`]: streaming ingestion — the [`stream::Util3Sink`]
@@ -35,7 +36,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod aggregate;
-pub mod collector;
 pub mod corruption;
 pub mod dataset;
 pub mod gpu_power;
@@ -47,7 +47,6 @@ pub mod source;
 pub mod stream;
 
 pub use aggregate::{Aggregate, GpuAggregates};
-pub use collector::{JobMonitor, MonitorConfig, NodeLocalBuffer};
 pub use corruption::{
     CorruptionConfig, CorruptionCounters, Corruptor, DataQualityProfile, FaultClass, RawCollection,
 };

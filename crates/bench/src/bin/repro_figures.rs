@@ -26,6 +26,8 @@
 //! the figure series to stdout; pass `--out` to also write the Markdown
 //! comparison, `--threads 1` for the sequential reference run, and
 //! `--bench-json` for a machine-readable per-stage timing breakdown.
+//! The Markdown report's prose is the fragments in `crates/bench/report/`
+//! around each study's render; its footer records the command line.
 //!
 //! The failure flags enable the fault-injection subsystem: a taxonomy
 //! profile schedules GPU Xid, node-hardware, and transient-infrastructure
@@ -67,8 +69,8 @@
 //! supplies a default when neither flag is present.
 
 use sc_bench::{peak_rss_bytes, per_sec, report_json, Cli};
-use sc_cluster::{FailureModel, SimConfig, Simulation};
-use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig, DatasetReport};
+use sc_cluster::{FailureModel, Simulation};
+use sc_core::{AnalysisReport, ClassifierFig, DataQualityFig};
 use sc_learn::ArchetypePredictor;
 use sc_obs::{chrome_trace_json, JsonlSink, Obs, StageLog, TraceLevel, TraceSink};
 use sc_opportunity::OpportunityReport;
@@ -79,6 +81,8 @@ use sc_workload::Trace;
 use serde::Serialize;
 
 struct Args {
+    /// The command line as given, for the report footer.
+    command: String,
     /// The run's configuration: the `supercloud` preset or
     /// `--scenario`, with every config flag written into it.
     scenario: Scenario,
@@ -224,8 +228,13 @@ overrides one field of it, in any order.
 const CLI: Cli = Cli { name: "repro_figures", usage: USAGE };
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
+    let argv: Vec<String> = argv.into_iter().collect();
     let mut set = Overrides::default();
     let mut args = Args {
+        command: std::iter::once("repro_figures")
+            .chain(argv.iter().map(String::as_str))
+            .collect::<Vec<_>>()
+            .join(" "),
         scenario: Scenario::preset("supercloud").expect("committed preset"),
         cross_system: Vec::new(),
         out: None,
@@ -277,13 +286,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
             }
             "--out" => args.out = Some(value("--out")),
             "--svg-dir" => args.svg_dir = Some(value("--svg-dir")),
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")
-                        .parse()
-                        .unwrap_or_else(|_| CLI.usage_error("--threads needs an integer")),
-                );
-            }
+            "--threads" => args.threads = Some(CLI.thread_count(&value("--threads"))),
             "--bench-json" => args.bench_json = Some(value("--bench-json")),
             "--failure-profile" => {
                 let name = value("--failure-profile");
@@ -623,316 +626,117 @@ fn reliability_svgs(report: &sc_core::ReliabilityReport) -> Vec<(&'static str, S
     out
 }
 
-/// Residual deviations we know about and accept; everything else in the
-/// tables above tracks the paper within roughly ±30%.
-const KNOWN_GAPS: &str = "\n## Known residual gaps\n\n\
-- **Queue-wait CDF depth (Fig. 3b).** The orderings hold (GPU jobs clear in \
-seconds, CPU jobs in minutes; 70% of CPU jobs wait over a minute), but our \
-simulated cluster runs at ~20% GPU occupancy, so fewer GPU jobs ever wait at \
-all than on the real system (≈90% under 2% of service time vs the paper's \
-≈50%). Reproducing the deeper waits would require knowledge of the real \
-system's background load that the paper does not report.\n\
-- **Run-time p75 (Fig. 3a).** The paper's quantile triple (4/30/300 min) is \
-wider than any single heavy-tailed family; our mixture honours the median and \
-the GPU-hour shares of Fig. 15b, leaving p75 at ≈180-230 min. The class-level \
-medians (36 min mature / 62 min exploratory) are matched instead.\n\
-- **Per-user average run time (Fig. 10).** Median-of-averages lands at \
-≈170-190 min vs the paper's 392 min; the spread (p25:p75 ≈ 1:3) and the \
-heavy-tail shape are reproduced. Lifting it further would break the job-level \
-run-time medians we prioritize.\n\
-- **Fig. 12 CoV correlations.** The paper reports low positive bars; we land \
-slightly negative to flat (≈-0.2…0.1). The qualitative claim — expert users \
-are *not* more predictable — holds; the exact bar heights depend on \
-unpublished within-user structure.\n\
-- **Top-share sampling variance (Fig. 11).** The fitted Pareto shape \
-(α ≈ 1.13) has infinite variance, so the *empirical* top-20% GPU-hour share \
-of a 20k-user draw ranges 0.75-0.96 across seeds even though the analytic \
-Lorenz shares match the paper exactly. Sampled-share tests therefore assert \
-wide heavy-tail bands; the exact calibration is checked analytically.\n\
-- **Wait growth under capacity loss.** With the full cluster at ~20% \
-occupancy the mean queue wait is floored at the 3 s scheduler latency, so \
-the wait-growth factor when capacity shrinks is bounded by queueing pressure \
-alone: we measure ≈7× and assert a robust 5× directional bar rather than the \
-10× one might expect from utilization ratios.\n\
-- **Deadline surge is a GPU-job metric.** CPU campaign bursts can land \
-hundreds of jobs on a single off-season day and swamp the all-jobs daily \
-mean, so the pre-deadline surge (Sec. II) is computed over GPU submissions \
-only, where the deadline ramp actually shows (≈1.2× vs the 1.1× bar).\n";
+/// The report prose, one markdown fragment per section. Edit the prose
+/// in `crates/bench/report/`; these bindings only pull it in.
+mod prose {
+    pub const KNOWN_GAPS: &str = include_str!("../../report/known_gaps.md");
+    pub const FAILURE_TAXONOMY: &str = include_str!("../../report/failure_taxonomy.md");
+    pub const TRACING: &str = include_str!("../../report/tracing.md");
+    pub const STREAMING_BENCH: &str = include_str!("../../report/streaming_bench.md");
+    pub const SERVE_METHODOLOGY: &str = include_str!("../../report/serve_methodology.md");
+    pub const BEYOND_THE_FIGURES: &str = include_str!("../../report/beyond_the_figures.md");
+    pub const OPPORTUNITY_STUDIES: &str = include_str!("../../report/opportunity_studies.md");
+    pub const POLICY_AB: &str = include_str!("../../report/policy_ab.md");
+    /// Takes `{pp}` and `{wait}`, the predicted-vs-oracle deltas.
+    pub const POLICY_ORACLE_GAP: &str = include_str!("../../report/policy_oracle_gap.md");
+    pub const CLASSIFIER_METHODOLOGY: &str = include_str!("../../report/classifier_methodology.md");
+    pub const CLASSIFIER_HEATMAP: &str = include_str!("../../report/classifier_heatmap.md");
+    pub const DATA_QUALITY: &str = include_str!("../../report/data_quality.md");
+    pub const RELIABILITY: &str = include_str!("../../report/reliability.md");
+    pub const RELIABILITY_NOT_RUN: &str = include_str!("../../report/reliability_not_run.md");
+    pub const CROSS_SYSTEM: &str = include_str!("../../report/cross_system.md");
+    pub const CROSS_SYSTEM_NOT_RUN: &str = include_str!("../../report/cross_system_not_run.md");
+}
 
-/// The failure-taxonomy section of the generated report: what the
-/// injection subsystem models and how to reproduce it.
-const FAILURE_TAXONOMY: &str = "\n## Failure taxonomy and goodput accounting\n\n\
-The paper reports hardware behind fewer than 0.5% of job deaths over its \
-window (Sec. II) and stops there. The simulator extends the analysis with a \
-three-class failure-injection taxonomy and a goodput ledger that accounts \
-for every allocated GPU-second:\n\n\
-| class | interarrival | default MTBF per unit | repair | blast radius |\n\
-|---|---|---|---|---|\n\
-| gpu-xid | exponential | 1.5e7 s per GPU | none | one resident GPU job |\n\
-| node-hardware | Weibull (k = 0.9) | 8.0e6 s per node | 4 h | whole node |\n\
-| infra-transient | exponential | 5.0e6 s per node | 5 min | whole node |\n\n\
-Failed attempts are requeued with exponential backoff (60 s base, 2× factor) \
-up to min(3, per-job restart budget) retries; interactive jobs never retry. \
-Checkpointable jobs (85% of mature/exploratory) resume from their last \
-Young-interval checkpoint instead of restarting from scratch. The ledger \
-splits allocated GPU-seconds into useful + lost + idle — the balance is \
-asserted in tests — and attributes every lost GPU-second to the class that \
-destroyed it.\n\n\
-Reproduce with:\n\n\
-```text\n\
-repro_figures --failure-profile supercloud   # default taxonomy\n\
-repro_figures --failure-profile stress       # 10x failure rates\n\
-repro_figures --failure-profile transient    # transient infra only\n\
-repro_figures --mtbf 0.5                     # halve every class MTBF\n\
-```\n\n\
-The failure schedule, every requeue decision, and the goodput report are \
-byte-identical at any thread budget (`tests/determinism.rs`); the recovery \
-invariants — double-failure absorption, requeue-after-repair, retry-cap \
-exhaustion, no GPU-second leakage — are covered by \
-`tests/scheduler_invariants.rs`.\n";
+/// What the markdown report shows: each study's one render plus the
+/// run's own numbers. `None` marks an optional study that did not run.
+struct Sections<'a> {
+    /// The paper-vs-measured comparison tables.
+    tables: &'a str,
+    /// The wall-clock block: stage timings and peak RSS.
+    run_block: &'a str,
+    streaming: Option<&'a str>,
+    beyond: &'a str,
+    opportunity: &'a str,
+    policy: Option<&'a str>,
+    /// Predicted-vs-oracle goodput (pp) and mean-wait (s) deltas.
+    oracle_gap: Option<(f64, f64)>,
+    classifier: Option<&'a str>,
+    data_quality: Option<&'a str>,
+    reliability: Option<&'a str>,
+    cross_system: Option<&'a str>,
+    footer: &'a str,
+}
 
-/// The observability section of the generated report: the
-/// ClusterTimeline figure and the deterministic trace layer.
-const TRACING: &str = "\n## ClusterTimeline and deterministic tracing\n\n\
-Every run collects a cluster-state time series — queued and running \
-jobs, GPUs in use, nodes down, requeue backlog — sampled on event-loop \
-transitions at 512 points across the horizon, rendered as the \
-ClusterTimeline figure (`cluster_timeline.svg` with `--svg-dir`). The \
-timeline also feeds a log2-bucketed queue-depth histogram that sees \
-every scheduler transition, not just the sampled instants.\n\n\
-`--trace FILE` additionally streams a JSONL event trace keyed to \
-*simulated* time: submit/finish/fault/kill/requeue/checkpoint_restore \
-events plus attempt and node_down spans. The stream is emitted from the \
-single-threaded event loop, so it is byte-identical at any \
-`SC_PAR_THREADS` budget — a property pinned by a committed golden trace \
-(`tests/golden/`) and the determinism suite. `--trace-level \
-{off|spans|events}` (or `SC_OBS=level:file`) controls verbosity; a \
-`FILE.chrome.json` sidecar carries the wall-clock stage spans for \
-chrome://tracing or https://ui.perfetto.dev. With tracing off the \
-instrumentation compiles down to a cached enum compare per site.\n";
+/// Assembles the markdown report: the comparison tables, then each
+/// section's prose fragment followed by its study's fenced render.
+/// The policy, classifier and data-quality sections appear only when
+/// their study ran; reliability and cross-system always do, with a
+/// note in place of the render when they did not run.
+fn markdown(s: &Sections) -> String {
+    let fenced = |text: &str| format!("\n```text\n{text}```\n");
+    let mut md = [
+        s.tables,
+        prose::KNOWN_GAPS,
+        prose::FAILURE_TAXONOMY,
+        prose::TRACING,
+        prose::STREAMING_BENCH,
+        s.run_block,
+    ]
+    .concat();
+    if let Some(text) = s.streaming {
+        md += &fenced(text);
+    }
+    md += prose::SERVE_METHODOLOGY;
+    md += prose::BEYOND_THE_FIGURES;
+    md += &fenced(s.beyond);
+    md += prose::OPPORTUNITY_STUDIES;
+    md += &fenced(s.opportunity);
+    if let Some(text) = s.policy {
+        md += prose::POLICY_AB;
+        md += &fenced(text);
+        if let Some((pp, wait)) = s.oracle_gap {
+            md += &prose::POLICY_ORACLE_GAP
+                .replace("{pp}", &format!("{pp:+.3}"))
+                .replace("{wait}", &format!("{wait:+.1}"));
+        }
+    }
+    if let Some(text) = s.classifier {
+        md += prose::CLASSIFIER_METHODOLOGY;
+        md += &fenced(text);
+        md += prose::CLASSIFIER_HEATMAP;
+    }
+    if let Some(text) = s.data_quality {
+        md += prose::DATA_QUALITY;
+        md += &fenced(text);
+    }
+    md += prose::RELIABILITY;
+    md += &s.reliability.map_or_else(|| prose::RELIABILITY_NOT_RUN.to_string(), fenced);
+    md += prose::CROSS_SYSTEM;
+    md += &s.cross_system.map_or_else(|| prose::CROSS_SYSTEM_NOT_RUN.to_string(), fenced);
+    md += &format!("\n---\n{}\n", s.footer);
+    md
+}
 
-/// The streaming-telemetry section of the generated report: the
-/// engine and the memory-bound claim. Measured numbers live with the
-/// benchmark in `perfbench/`; the per-run table below this section is
-/// live.
-const STREAMING_BENCH: &str = "\n## Streaming telemetry engine\n\n\
-The original telemetry stage materialized every per-job sample series \
-before any aggregation ran, so synthesizing series dominated the \
-full-scale reproduction. The streaming engine synthesizes each job's \
-series tick-by-tick straight into one-pass aggregators (segmentation \
-builder, CoV folds, mergeable quantile sketch / Welford / histogram \
-summaries) over a thread-local scratch spill, so wall-clock and peak \
-memory scale with aggregate state, not sample count: peak RSS grows \
-only with the recorded dataset (one epilog record per job, plus \
-O(threads) series scratch, the results in transit on the bounded \
-channel, and the reorder backlog of results that finished ahead of \
-the oldest unfinished job), not with the synthesized sample count. \
-`peak_rss_bytes` is recorded in every `--bench-json` report and \
-regression-gated by `scripts/check_bench.py`. End-to-end and per-layer \
-measurements, with the hardware they were taken on, are in \
-`perfbench/README.md`.\n";
-
-/// The query-service section of the generated report: the serve-once
-/// architecture, the load-mix definitions, and the gates.
-const SERVE_METHODOLOGY: &str = "\n## Query service methodology\n\n\
-The serving layer (`sc-serve`) reframes the reproduction as a \
-long-running system: `Service::build` runs the seeded simulation once \
-(trace generation, event loop, streaming telemetry, ingest) and \
-freezes the result as immutable shared state; every subsequent query \
-— point statistic, rendered figure, policy A/B arm, data-quality \
-round trip — is a pure function of `(scenario, seed, query)` computed \
-on a shared-queue executor behind a single-flight memoization cache. \
-Because responses are pure renders of frozen state, the determinism \
-contract extends to serving for free: cache temperature, thread \
-budget, and arrival interleaving can change *latency* but never \
-*bytes*.\n\n\
-**Load generation.** `serve_load` replays four seeded mixes and \
-reports each separately, since they stress different paths:\n\n\
-| mix | composition | path exercised |\n\
-|---|---|---|\n\
-| `point_flood` | N random point queries over 12 stats | small-answer \
-fan-in; first touch per stat misses, rest hit |\n\
-| `cold_ab` | the 6 what-if arms (3 policy A/Bs + 3 data-quality \
-profiles), all cold | the expensive tail: each arm re-runs the event \
-loop or ingest over the frozen trace |\n\
-| `cache_storm` | 2N random queries after the full 36-query surface \
-is warmed | pure hit path; measures cache + executor overhead floor |\n\
-| `steady` | 70% points / 25% figures / 5% what-ifs, warm | the \
-steady-state production mix |\n\n\
-Requests are submitted asynchronously and *joined in submission \
-order*, and every response body is folded into an FNV-1a 64 digest in \
-that order — so the digest is a function of the query stream alone, \
-not of completion order, worker count, or which requests coalesced. \
-The bench-smoke CI job runs the generator at `SC_PAR_THREADS` 1, 4, \
-and 8 and requires all three digests to be identical; \
-`tests/determinism.rs` additionally pins cold (`query_uncached`) == \
-warm (`query_blocking`) byte equality and that 8 concurrent identical \
-cold queries produce exactly 1 miss and 7 hit-or-coalesced \
-responses.\n\n\
-`scripts/check_bench.py --serve` gates the report declaratively — p99 \
-ceilings per mix (250 ms floods/steady, 50 ms storm, 30 s cold A/B), \
-storm throughput ≥ 1k qps, storm and steady hit rates ≥ 0.95, and \
-`storm_speedup` ≥ 10× — and the gate table itself is self-tested \
-against committed pass/fail fixtures in the lint job. The weekly \
-workflow runs the same gates over a full-scale soak (125-day world, \
-2,000 requests/mix) and ships the per-response Chrome trace as an \
-artifact; the floors are scale-independent because a cache hit costs \
-the same regardless of how expensive the miss was. Measured serve \
-latencies and hit rates, with the hardware they were taken on, are in \
-`perfbench/README.md` (the `serve-whatif` workload).\n";
-
-/// The data-quality section of the generated report: the collection
-/// fault taxonomy and the ingest repair pipeline.
-const DATA_QUALITY: &str = "\n## Data quality & ingest repair\n\n\
-Real collection pipelines lose data: sample windows drop, epilogs go \
-missing when collectors die, records duplicate on retry, clocks skew, \
-power readings glitch. `--data-quality` injects exactly those faults \
-into the recorded dataset with a seeded corruptor (off | supercloud | \
-lossy | hostile), then runs the hardened ingest stage — canonical \
-reordering, identity dedup, clock-skew translation, epilog \
-reconstruction from telemetry sample counts, power imputation from the \
-utilization-power model, gap imputation by last-phase hold — and \
-re-runs the figure pipeline on the repaired dataset. The ledger is \
-balanced by construction (injected == detected == repaired + \
-quarantined, per class) and every repair/quarantine decision is \
-emitted as an `sc-obs` event (`dq_repair`, `dq_quarantine`). The \
-recovered-vs-clean headline deltas below quantify what survives; \
-`tests/ingest_invariants.rs` holds the ledger balance across profiles \
-and seeds and `tests/data_quality_acceptance.rs` pins the recovery \
-bands under `lossy`.\n";
-
-/// The policy-engine section of the generated report: the closed-loop
-/// A/B methodology.
-const POLICY_AB: &str = "\n## Closed-loop policy A/B\n\n\
-The opportunity studies above score policies *offline* from the recorded \
-dataset. `--policy` closes the loop: the same seeded trace is replayed \
-twice through the identical simulator configuration — once with no \
-policy, once with a closed-loop policy riding inside the event loop — \
-so every delta below is attributable to the policy alone. Power capping \
-stretches throttled runs by the DVFS slowdown model and clamps the \
-synthesized telemetry; GPU co-sharing packs predicted-low-SM single-GPU \
-jobs two per board with interference from the phase-overlap model; tier \
-routing demotes non-mature classes to the slow tier (both arms get the \
-same two-tier hardware, so only the routing differs). Every decision is \
-counted in the simulation stats and emitted as an `sc-obs` event \
-(`cap_throttle`, `coshare_place`, `tier_route`); the closed-loop \
-outcomes are held to the offline models' predictions by \
-`tests/policy_acceptance.rs`, and byte-level determinism across thread \
-budgets by `tests/determinism.rs`.\n";
-
-/// The workload-classification section of the generated report: the
-/// archetype ground truth, the streamed feature extraction, and the
-/// closed predicted-label loop.
-const CLASSIFIER_METHODOLOGY: &str = "\n## Workload classification\n\n\
-The paper characterizes what jobs *do* (utilization waves, phase \
-structure, ramps — Secs. IV/VII); recognizing what a job *is* from \
-that telemetry is the natural next step. Every synthesized GPU job \
-carries a hidden ground-truth archetype — `cnn-periodic` (epoch \
-waves), `transformer-plateau` (long saturated plateaus), `bursty-dev` \
-(short irregular bursts), `idle-heavy` (open-but-idle sessions) — \
-whose telemetry signature both the batch and the streaming samplers \
-honor bit-identically. `sc-learn` folds each job's first hour of \
-`[sm, mem, mem_size]` ticks into a 14-wide feature vector through the \
-same one-pass `Util3Sink` interface the telemetry engine uses (the \
-streamed fold is proptest-pinned bit-identical to batch \
-recomputation), then trains a from-scratch seeded decision forest \
-against a nearest-centroid baseline on a hash-split train/test \
-partition. Dataset subsampling, the split, and tree bagging all hash \
-off per-job `truth_seed`s, so the confusion matrix below is \
-byte-identical at any `SC_PAR_THREADS` budget (a committed golden \
-render pins it).\n\n\
-`--policy coshare-predicted` closes the loop: the co-sharing gate \
-routes on *predicted* labels, and a third oracle-label arm (same \
-gating rule, ground-truth labels) isolates what classifier error \
-costs — the predicted-vs-oracle goodput delta is gated in CI by \
-`scripts/check_bench.py --classifier`, alongside the accuracy floor. \
-Reproduce with:\n\n\
-```text\n\
-repro_figures --classify --svg-dir figs          # confusion matrix + SVG\n\
-repro_figures --policy coshare-predicted         # three-arm A/B\n\
-repro_figures --classify --classifier-json c.json # CI gate metrics\n\
-```\n";
-
-/// The reliability-at-scale section of the generated report: the
-/// job-footprint hazard model, the figure family, and the Young/Daly
-/// sweep methodology.
-const RELIABILITY: &str = "\n## Reliability at scale\n\n\
-Fleet studies of large training clusters (e.g. Meta's, arXiv \
-2410.21680) report that failure burden grows with job footprint: a \
-job spanning G GPUs samples G hazards in parallel, so its time to \
-failure shrinks roughly as MTBF/G. The simulator models exactly that \
-— every scheduled fault targets a GPU or node, so a job's per-attempt \
-interrupt probability scales with the GPUs and nodes it holds — and \
-`--reliability` measures the consequences end to end:\n\n\
-- **Reliability vs job size.** Jobs are bucketed by allocated GPUs \
-(canonical classes: <=1, 2, 3-8, >8; a scenario's `[reliability] \
-size_buckets` re-draws the edges). Per class the table reports ETTF \
-(exposed wall-clock per failure), ETTR (kill-to-restart gap), \
-failures per 1,000 GPU-days, restart-overhead GPU-hours, and goodput \
-— each derived from the same per-class ledger that is \
-property-tested to balance (`useful + lost + idle == allocated`, \
-`tests/reliability_invariants.rs`).\n\
-- **Goodput frontier.** One event-loop run per MTBF scale factor \
-(default 1x, 0.2x, 0.05x) plots goodput fraction against job size: \
-how quickly large jobs fall off as the fleet degrades, and where \
-checkpointing stops compensating.\n\
-- **Young/Daly checkpoint sweep.** For each size class the analytic \
-optimum is `sqrt(2 * write_cost * MTTI(footprint))`. The sweep runs \
-the event loop over a geometric interval grid spanning every class's \
-optimum (default 5 points, 4x half-span) and overlays the simulated \
-per-class argmax on the analytic prediction; CI gates the worst \
-simulated/analytic ratio to a coarse-grid band \
-(`scripts/check_bench.py --reliability`).\n\
-- **Cluster growth.** `--growth 2,8,32` replays the identical \
-workload on a fleet scaled by each factor and reports queue-wait \
-quantiles, goodput, makespan, and event-loop throughput per scale — \
-the study runs with the detailed-series subset disabled, so memory \
-stays O(aggregate state) even at 32x.\n\n\
-All four figures are pure functions of (trace, config): byte-identical \
-at any `SC_PAR_THREADS` budget, pinned by a committed golden report \
-and the determinism suite. Wall-clock timings go only to \
-`--reliability-json`. Reproduce with:\n\n\
-```text\n\
-repro_figures --reliability                        # default taxonomy at 0.05x MTBF\n\
-repro_figures --reliability --failure-profile stress\n\
-repro_figures --reliability --growth 2,8,32        # + cluster-growth replay\n\
-repro_figures --reliability --reliability-json r.json  # CI gate metrics\n\
-```\n";
-
-/// The cross-system section of the generated report: the scenario DSL
-/// and the comparison methodology.
-const CROSS_SYSTEM: &str = "\n## Cross-system comparison methodology\n\n\
-The paper contrasts Supercloud with Microsoft's Philly clusters in \
-passing (single-GPU shares, queue waits, Sec. V). The scenario DSL \
-(`sc-scenario`) generalizes that move: a TOML scenario declares the \
-cluster shape, workload preset, arrival process (poisson | diurnal | \
-spikes | up-and-down), failure profile, data-quality profile, and \
-policy arm, and is parsed into one validated spec with typed \
-line/field diagnostics. Four presets are committed under \
-`scenarios/`:\n\n\
-| preset | cluster | workload | arrivals | failures |\n\
-|---|---|---|---|---|\n\
-| `supercloud` | 224 nodes x 2 V100 | the paper's 125-day world | \
-diurnal | off |\n\
-| `philly` | same hardware | Philly-style single-GPU-heavy mix | \
-diurnal | supercloud |\n\
-| `nersc` | 512 nodes x 4 GPUs, Slingshot | allocation-cycle batch | \
-up-and-down | supercloud |\n\
-| `in2p3` | 96 GPU + 128 CPU nodes | HEP grid, CPU-burst-heavy | \
-monthly spikes | transient |\n\n\
-`--cross-system` replays every requested scenario through the \
-*identical* simulator, telemetry, and analysis pipeline at one common \
-scale and seed, so every difference in the comparison table is \
-attributable to the declared scenario, not to methodology drift. The \
-`supercloud` preset reproduces the flag-driven default byte for byte \
-(pinned by `tests/scenario_invariants.rs`); malformed scenarios are \
-rejected with typed errors, never panics (property-tested over the \
-grammar). Reproduce with:\n\n\
-```text\n\
-repro_figures --scenario scenarios/supercloud.toml   # == no flags\n\
-repro_figures --scenario nersc --scale 0.05          # one preset\n\
-repro_figures --cross-system all --scale 0.05        # the comparison\n\
-```\n";
+/// Prints a study's one render to stdout, writes its SVGs into
+/// `--svg-dir` when one is given, and hands the render back for the
+/// report.
+fn emit(
+    text: String,
+    svgs: impl FnOnce() -> Vec<(&'static str, String)>,
+    svg_dir: Option<&str>,
+) -> String {
+    println!("{text}");
+    if let Some(dir) = svg_dir {
+        for (name, svg) in svgs() {
+            let path = std::path::Path::new(dir).join(name);
+            std::fs::write(&path, svg)
+                .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
+            eprintln!("wrote {}", path.display());
+        }
+    }
+    text
+}
 
 fn main() {
     let args = parse_args(std::env::args().skip(1));
@@ -940,6 +744,7 @@ fn main() {
         sc_par::set_max_threads(n);
     }
     let (trace_level, trace_path) = trace_settings(&args);
+    let svg_dir = args.svg_dir.as_deref();
     // Everything below is configured by the scenario alone.
     let sc = &args.scenario;
     let (scale, seed) = (sc.scale, sc.seed);
@@ -976,13 +781,19 @@ fn main() {
     });
     let t0 = std::time::Instant::now();
     let sim_start = stage_log.elapsed_secs();
+    // The simulation, the policy arm and the ingest repair all trace
+    // into this one sink. Each flushes after it runs, so a later step
+    // that exits on an error leaves every event written so far on disk.
     let obs = sink.as_ref().map_or(Obs::off(), |s| Obs::new(s));
+    let flush_trace = || {
+        if let Some(s) = &sink {
+            s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
+        }
+    };
     let (out, timings) = sim.run_with(&trace, &obs, None);
+    flush_trace();
     stage_log.push("sim_event_loop", sim_start, timings.event_loop_secs);
     stage_log.push("telemetry", sim_start + timings.event_loop_secs, timings.telemetry_secs);
-    if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
-    }
     eprintln!("simulated in {:?}; analyzing ...", t0.elapsed());
     let t0 = std::time::Instant::now();
     let report = AnalysisReport::try_from_sim_logged(&out, &stage_log)
@@ -1021,17 +832,16 @@ fn main() {
     // telemetry stage folded in flight is re-derived from the
     // materialized dataset and held to its documented error law. A
     // divergence means the streaming engine broke the batch contract,
-    // so it is a hard failure, like an unbalanced ingest ledger.
-    let streaming_fig = match sc_core::StreamingTelemetryFig::try_compute(&out) {
-        Ok(fig) => {
-            println!("{}", fig.render());
-            if !fig.passes() {
-                CLI.fail("streaming telemetry aggregates diverge from the batch dataset");
-            }
-            Some(fig)
+    // so it is a hard failure, like an unbalanced ingest ledger. A
+    // CPU-only trace streams nothing and skips the check.
+    let streaming = sc_core::StreamingTelemetryFig::try_compute(&out).ok().map(|fig| {
+        let text = fig.render();
+        println!("{text}");
+        if !fig.passes() {
+            CLI.fail("streaming telemetry aggregates diverge from the batch dataset");
         }
-        Err(_) => None, // CPU-only trace: nothing streamed
-    };
+        text
+    });
 
     println!("\n================ paper vs measured ================\n");
     for (title, rows) in report.all_comparisons() {
@@ -1045,73 +855,62 @@ fn main() {
         println!();
     }
 
-    if let Some(dir) = &args.svg_dir {
+    if let Some(dir) = svg_dir {
         let files = sc_core::svg::write_report_svgs(&report, std::path::Path::new(dir))
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write SVGs to {dir}: {e}")));
         eprintln!("wrote {} SVG figures to {dir}", files.len());
     }
 
-    // Extra analyses: the Fig. 2 workflow chain and the Sec. II arrival
-    // patterns.
+    // Extra analyses over the same population: the Fig. 2 workflow
+    // chain, the Sec. II arrival patterns, the facility power
+    // reconstruction, and the opportunity studies (Secs. III/VI/VIII).
     let views = sc_core::gpu_views(&out.dataset);
-    println!("{}", sc_core::WorkflowChain::fit(&views).render());
-    println!(
-        "{}",
-        sc_core::arrivals::ArrivalAnalysis::compute(&out.dataset).render(&spec.deadline_days)
-    );
-
-    println!(
-        "{}",
+    let beyond = [
+        sc_core::WorkflowChain::fit(&views).render(),
+        sc_core::arrivals::ArrivalAnalysis::compute(&out.dataset).render(&spec.deadline_days),
         sc_core::facility::reconstruct(
             &views,
             sc_telemetry::gpu_power::SUPERCLOUD_GPUS,
             sc_telemetry::gpu_power::V100_TDP_W,
             sc_telemetry::gpu_power::V100_IDLE_W,
         )
-        .render()
-    );
-
-    // Opportunity studies (Secs. III/VI/VIII) over the same population.
-    let opportunity = OpportunityReport::run(&views, 400);
-    println!("{}", opportunity.render());
+        .render(),
+    ]
+    .join("\n");
+    println!("{beyond}");
+    let opportunity = OpportunityReport::run(&views, 400).render();
+    println!("{opportunity}");
 
     // Closed-loop policy A/B: replay the same trace with no policy and
-    // with the selected policy, on the same configuration minus the
-    // detailed-series sampling (the deltas don't need it). The policy
-    // arm shares the CLI's trace sink so every cap_throttle /
-    // coshare_place / tier_route decision lands in --trace output.
+    // with the selected policy. The policy arm shares the run's trace
+    // sink so every cap_throttle / coshare_place / tier_route decision
+    // lands in --trace output.
     let policy_ab = (policy != PolicySpec::Off).then(|| {
         eprintln!("running policy A/B ({}) ...", policy.label());
         let t0 = std::time::Instant::now();
-        let mut exp = PolicyExperiment::new(
-            SimConfig { detailed_series_jobs: 0, ..sim_config.clone() },
-            policy,
-        );
+        let mut exp = PolicyExperiment::new(sim_config.clone(), policy);
         exp.classifier = classifier_cfg.clone();
         let result = exp.run(&trace, &obs);
+        flush_trace();
         eprintln!("policy A/B done in {:?}", t0.elapsed());
-        println!("{}", result.fig.render());
-        if let Some(fig) = &result.oracle_fig {
-            println!("{}", fig.render());
-        }
-        if let (Some(pp), Some(wait)) =
-            (result.predicted_vs_oracle_goodput_pp(), result.predicted_vs_oracle_wait_secs())
-        {
-            println!(
-                "predicted vs oracle placement: goodput {pp:+.3} pp, mean queue wait \
-                 {wait:+.1} s (negative goodput = classifier error cost)\n"
-            );
-        }
         result
     });
-    if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
-    }
-    if let (Some(result), Some(dir)) = (&policy_ab, &args.svg_dir) {
-        let path = std::path::Path::new(dir).join("policy_ab.svg");
-        std::fs::write(&path, result.fig.to_svg())
-            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
+    let policy_text = policy_ab.as_ref().map(|r| {
+        let mut text = r.fig.render();
+        if let Some(fig) = &r.oracle_fig {
+            text.push('\n');
+            text.push_str(&fig.render());
+        }
+        emit(text, || vec![("policy_ab.svg", r.fig.to_svg())], svg_dir)
+    });
+    let oracle_gap = policy_ab.as_ref().and_then(|r| {
+        Some((r.predicted_vs_oracle_goodput_pp()?, r.predicted_vs_oracle_wait_secs()?))
+    });
+    if let Some((pp, wait)) = oracle_gap {
+        println!(
+            "predicted vs oracle placement: goodput {pp:+.3} pp, mean queue wait \
+             {wait:+.1} s (negative goodput = classifier error cost)\n"
+        );
     }
 
     // Workload classification: train the archetype classifier on the
@@ -1119,7 +918,7 @@ fn main() {
     // coshare-predicted harness already trained one (with the identical
     // config), reuse its evaluation instead of training twice.
     let classifier_fig = sc.classifier.enabled.then(|| {
-        let eval = match policy_ab.as_ref().and_then(|r| r.classifier_eval.clone()) {
+        match policy_ab.as_ref().and_then(|r| r.classifier_eval.clone()) {
             Some(eval) => eval,
             None => {
                 eprintln!(
@@ -1131,17 +930,12 @@ fn main() {
                 eprintln!("classifier trained in {:?}", t0.elapsed());
                 eval
             }
-        };
-        let fig = eval.to_fig();
-        println!("{}", fig.render());
-        fig
+        }
+        .to_fig()
     });
-    if let (Some(fig), Some(dir)) = (&classifier_fig, &args.svg_dir) {
-        let path = std::path::Path::new(dir).join("classifier_confusion.svg");
-        std::fs::write(&path, fig.to_svg())
-            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
-    }
+    let classifier_text = classifier_fig.as_ref().map(|fig| {
+        emit(fig.render(), || vec![("classifier_confusion.svg", fig.to_svg())], svg_dir)
+    });
     if let Some(path) = &args.classifier_json {
         let fig = classifier_fig.as_ref().expect("--classifier-json implies --classify");
         std::fs::write(path, report_json(&ClassifierReport::new(fig, policy_ab.as_ref())))
@@ -1154,65 +948,35 @@ fn main() {
     // ingest stage, and re-run the figure pipeline on the recovered
     // dataset. `off` (the default) skips the stage entirely, so the
     // stock reproduction stays byte-identical.
-    let data_quality_fig = (data_quality != DataQualityProfile::Off).then(|| {
+    let data_quality_text = (data_quality != DataQualityProfile::Off).then(|| {
         eprintln!("running data-quality round trip ({}) ...", data_quality.label());
         let t0 = std::time::Instant::now();
-        let obs = match &sink {
-            Some(s) => Obs::new(s),
-            None => Obs::off(),
-        };
-        let clean_report = DatasetReport::try_from_dataset(&out.dataset)
-            .unwrap_or_else(|e| CLI.fail(&format!("clean pipeline failed: {e}")));
-        let (ingested, injected) =
-            sc_core::corrupt_and_ingest(&out.dataset, data_quality, seed, &obs)
-                .unwrap_or_else(|e| CLI.fail(&format!("ingest failed: {e}")));
-        let recovered = DatasetReport::try_from_dataset(&ingested.dataset)
-            .unwrap_or_else(|e| CLI.fail(&format!("recovered pipeline failed: {e}")));
-        let study = sc_core::ingest::series_study(data_quality, seed, 64, 1_800.0, 0.1)
-            .unwrap_or_else(|e| CLI.fail(&format!("series study failed: {e}")));
-        let fig = DataQualityFig::compute(
-            data_quality.label(),
-            injected,
-            ingested.report,
-            &clean_report,
-            &recovered,
-            Some(study),
+        let mut fig = DataQualityFig::round_trip(&out.dataset, data_quality, seed, &obs)
+            .unwrap_or_else(|e| CLI.fail(&format!("{} failed: {e}", e.stage())));
+        flush_trace();
+        fig.series = Some(
+            sc_core::ingest::series_study(data_quality, seed, 64, 1_800.0, 0.1)
+                .unwrap_or_else(|e| CLI.fail(&format!("series study failed: {e}"))),
         );
         eprintln!("data-quality round trip done in {:?}", t0.elapsed());
-        println!("{}", fig.render());
+        let text = emit(fig.render(), || vec![("data_quality.svg", fig.to_svg())], svg_dir);
         if !fig.balanced() {
             CLI.fail("data-quality ledger does not balance");
         }
-        fig
+        text
     });
-    if let Some(s) = &sink {
-        s.flush().unwrap_or_else(|e| CLI.fail(&format!("cannot flush trace file: {e}")));
-    }
-    if let (Some(fig), Some(dir)) = (&data_quality_fig, &args.svg_dir) {
-        let path = std::path::Path::new(dir).join("data_quality.svg");
-        std::fs::write(&path, fig.to_svg())
-            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
-    }
 
     // Cross-system comparison: replay the requested scenario list
     // through the identical pipeline at the effective scale and seed.
     // Off by default, so the stock reproduction stays byte-identical.
-    let cross_system = (!args.cross_system.is_empty()).then(|| {
+    let cross_system_text = (!args.cross_system.is_empty()).then(|| {
         eprintln!("running cross-system comparison ({} systems) ...", args.cross_system.len());
         let t0 = std::time::Instant::now();
         let fig = CrossSystemFig::run(&args.cross_system, scale, seed)
             .unwrap_or_else(|e| CLI.fail(&format!("cross-system comparison: {e}")));
         eprintln!("cross-system comparison done in {:?}", t0.elapsed());
-        println!("{}", fig.render());
-        fig
+        emit(fig.render(), || vec![("cross_system.svg", fig.to_svg())], svg_dir)
     });
-    if let (Some(fig), Some(dir)) = (&cross_system, &args.svg_dir) {
-        let path = std::path::Path::new(dir).join("cross_system.svg");
-        std::fs::write(&path, fig.to_svg())
-            .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
-    }
 
     // Reliability-at-scale study: per-size-class failure table, goodput
     // frontier, Young/Daly checkpoint sweep, and (with --growth) the
@@ -1220,7 +984,6 @@ fn main() {
     // stays byte-identical. A failure-free run measures the default
     // supercloud taxonomy at 0.05x MTBF so every figure has failures.
     let reliability_report = sc.reliability.enabled.then(|| {
-        let model = sc.reliability_failure_model(seed);
         let rel_cfg = sc.reliability_config();
         eprintln!(
             "running reliability study ({} MTBF factors, {}-point sweep, {} growth factors) ...",
@@ -1229,141 +992,53 @@ fn main() {
             rel_cfg.growth_factors.len()
         );
         let t0 = std::time::Instant::now();
-        let base = SimConfig { detailed_series_jobs: 0, ..sim_config.clone() };
-        let report = sc_core::run_reliability_study(&trace, &base, &model, &rel_cfg);
+        let model = sc.reliability_failure_model(seed);
+        let report = sc_core::run_reliability_study(&trace, &sim_config, &model, &rel_cfg);
         eprintln!("reliability study done in {:?}", t0.elapsed());
-        println!("{}", report.render());
         report
     });
+    let reliability_text =
+        reliability_report.as_ref().map(|r| emit(r.render(), || reliability_svgs(r), svg_dir));
     if let Some(path) = &args.reliability_json {
         let report = reliability_report.as_ref().expect("--reliability-json implies --reliability");
         std::fs::write(path, report_json(&ReliabilityGates::new(report)))
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write reliability json {path}: {e}")));
         eprintln!("wrote {path}");
     }
-    if let (Some(report), Some(dir)) = (&reliability_report, &args.svg_dir) {
-        for (name, svg) in reliability_svgs(report) {
-            let path = std::path::Path::new(dir).join(name);
-            std::fs::write(&path, svg)
-                .unwrap_or_else(|e| CLI.fail(&format!("cannot write {}: {e}", path.display())));
-            eprintln!("wrote {}", path.display());
-        }
-    }
 
-    if let Some(path) = args.out {
-        let mut md = report.experiments_markdown();
-        md.push_str(KNOWN_GAPS);
-        md.push_str(FAILURE_TAXONOMY);
-        md.push_str(TRACING);
-        md.push_str(STREAMING_BENCH);
-        md.push_str(&format!(
-            "\nThis run (scale {}, seed {}, {} threads):\n\n\
+    if let Some(path) = &args.out {
+        let mut run_block = format!(
+            "\nThis run (scale {scale}, seed {seed}, {} threads):\n\n\
              | stage | secs | jobs/sec |\n|---|---|---|\n",
-            scale,
-            seed,
             sc_par::current_threads()
-        ));
+        );
         for (name, t) in stages.named() {
-            md.push_str(&format!("| {name} | {:.3} | {:.0} |\n", t.secs, t.jobs_per_sec));
+            run_block += &format!("| {name} | {:.3} | {:.0} |\n", t.secs, t.jobs_per_sec);
         }
-        md.push_str(&format!(
+        run_block += &format!(
             "\nPeak RSS this run: {:.1} MiB.\n",
             peak_rss_bytes() as f64 / (1024.0 * 1024.0)
-        ));
-        if let Some(fig) = &streaming_fig {
-            md.push_str("\n```text\n");
-            md.push_str(&fig.render());
-            md.push_str("```\n");
-        }
-        md.push_str(SERVE_METHODOLOGY);
-        md.push_str("\n## Beyond the figures\n\n```text\n");
-        md.push_str(&sc_core::WorkflowChain::fit(&views).render());
-        md.push('\n');
-        md.push_str(
-            &sc_core::arrivals::ArrivalAnalysis::compute(&out.dataset).render(&spec.deadline_days),
         );
-        md.push('\n');
-        md.push_str(
-            &sc_core::facility::reconstruct(
-                &views,
-                sc_telemetry::gpu_power::SUPERCLOUD_GPUS,
-                sc_telemetry::gpu_power::V100_TDP_W,
-                sc_telemetry::gpu_power::V100_IDLE_W,
-            )
-            .render(),
-        );
-        md.push_str("```\n");
-        md.push_str("\n## Opportunity studies (Secs. III, VI, VIII)\n\n```text\n");
-        md.push_str(&opportunity.render());
-        md.push_str("```\n");
-        if let Some(result) = &policy_ab {
-            md.push_str(POLICY_AB);
-            md.push_str("\n```text\n");
-            md.push_str(&result.fig.render());
-            if let Some(fig) = &result.oracle_fig {
-                md.push('\n');
-                md.push_str(&fig.render());
-            }
-            md.push_str("```\n");
-            if let (Some(pp), Some(wait)) =
-                (result.predicted_vs_oracle_goodput_pp(), result.predicted_vs_oracle_wait_secs())
-            {
-                md.push_str(&format!(
-                    "\nPredicted-label vs oracle-label placement: goodput {pp:+.3} pp, \
-                     mean queue wait {wait:+.1} s — the measured cost of routing on the \
-                     classifier's labels instead of ground truth.\n"
-                ));
-            }
-        }
-        if let Some(fig) = &classifier_fig {
-            md.push_str(CLASSIFIER_METHODOLOGY);
-            md.push_str("\n```text\n");
-            md.push_str(&fig.render());
-            md.push_str("```\n");
-            md.push_str(
-                "\nThe rendered heatmap lands at `figs/classifier_confusion.svg` with \
-                 `--svg-dir figs`.\n",
-            );
-        }
-        if let Some(fig) = &data_quality_fig {
-            md.push_str(DATA_QUALITY);
-            md.push_str("\n```text\n");
-            md.push_str(&fig.render());
-            md.push_str("```\n");
-        }
-        md.push_str(RELIABILITY);
-        if let Some(report) = &reliability_report {
-            md.push_str("\n```text\n");
-            md.push_str(&report.render());
-            md.push_str("```\n");
-        } else {
-            md.push_str(
-                "\nThis run did not request the study; produce it with \
-                 `--reliability` (add `--growth 2,8,32` for the cluster-growth \
-                 replay; the weekly CI job archives the full-scale version).\n",
-            );
-        }
-        md.push_str(CROSS_SYSTEM);
-        if let Some(fig) = &cross_system {
-            md.push_str("\n```text\n");
-            md.push_str(&fig.render());
-            md.push_str("```\n");
-        } else {
-            md.push_str(
-                "\nThis run did not request a comparison; the table is \
-                 produced by `--cross-system` (the weekly CI job archives \
-                 the full-scale version).\n",
-            );
-        }
-        md.push_str(&format!(
-            "\n---\nGenerated by `repro_figures --scale {} --seed {}`; detailed subset {} jobs; \
-             simulated {} events.\n",
-            scale,
-            seed,
-            out.detailed.len(),
-            out.stats.events
-        ));
-        std::fs::write(&path, md)
+        let md = markdown(&Sections {
+            tables: &report.experiments_markdown(),
+            run_block: &run_block,
+            streaming: streaming.as_deref(),
+            beyond: &beyond,
+            opportunity: &opportunity,
+            policy: policy_text.as_deref(),
+            oracle_gap,
+            classifier: classifier_text.as_deref(),
+            data_quality: data_quality_text.as_deref(),
+            reliability: reliability_text.as_deref(),
+            cross_system: cross_system_text.as_deref(),
+            footer: &format!(
+                "Generated by `{}`; detailed subset {} jobs; simulated {} events.",
+                args.command,
+                out.detailed.len(),
+                out.stats.events
+            ),
+        });
+        std::fs::write(path, md)
             .unwrap_or_else(|e| CLI.fail(&format!("cannot write report {path}: {e}")));
         eprintln!("wrote {path}");
     }
@@ -1477,6 +1152,70 @@ mod tests {
             if preset == "supercloud" {
                 assert_eq!(scenario_of(flags), want, "{flags:?} alone");
             }
+        }
+    }
+
+    /// The `##` headings of a report, in order.
+    fn headings(md: &str) -> Vec<&str> {
+        md.lines().filter_map(|l| l.strip_prefix("## ")).collect()
+    }
+
+    /// With every study and with none: the sections come in the fixed
+    /// order, the optional ones only when their study ran, and the
+    /// reliability and cross-system notes stand in for a missing render.
+    #[test]
+    fn report_sections_keep_their_order() {
+        let all = Sections {
+            tables: "## Table I / dataset funnel\n",
+            run_block: "\nThis run\n",
+            streaming: Some("streaming\n"),
+            beyond: "beyond\n",
+            opportunity: "opportunity\n",
+            policy: Some("policy\n"),
+            oracle_gap: Some((0.5, -1.0)),
+            classifier: Some("classifier\n"),
+            data_quality: Some("data quality\n"),
+            reliability: Some("reliability\n"),
+            cross_system: Some("cross-system\n"),
+            footer: "footer",
+        };
+        let none = Sections {
+            streaming: None,
+            policy: None,
+            oracle_gap: None,
+            classifier: None,
+            data_quality: None,
+            reliability: None,
+            cross_system: None,
+            ..all
+        };
+        let before = [
+            "Table I / dataset funnel",
+            "Known residual gaps",
+            "Failure taxonomy and goodput accounting",
+            "ClusterTimeline and deterministic tracing",
+            "Streaming telemetry engine",
+            "Query service methodology",
+            "Beyond the figures",
+            "Opportunity studies (Secs. III, VI, VIII)",
+        ];
+        let optional =
+            ["Closed-loop policy A/B", "Workload classification", "Data quality & ingest repair"];
+        let after = ["Reliability at scale", "Cross-system comparison methodology"];
+
+        let full = markdown(&all);
+        assert_eq!(headings(&full), [&before[..], &optional, &after].concat());
+        assert!(full.contains("goodput +0.500 pp, mean queue wait -1.0 s"), "{full}");
+        assert!(!full.contains(prose::RELIABILITY_NOT_RUN));
+        assert!(!full.contains(prose::CROSS_SYSTEM_NOT_RUN));
+        assert!(full.ends_with("\n---\nfooter\n"));
+
+        let bare = markdown(&none);
+        assert_eq!(headings(&bare), [&before[..], &after].concat());
+        assert!(bare.contains(prose::RELIABILITY_NOT_RUN));
+        assert!(bare.contains(prose::CROSS_SYSTEM_NOT_RUN));
+        for absent in [prose::POLICY_AB, prose::CLASSIFIER_HEATMAP, prose::DATA_QUALITY] {
+            assert!(!bare.contains(absent));
         }
     }
 

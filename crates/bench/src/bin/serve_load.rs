@@ -112,15 +112,7 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| CLI.usage_error("--seed needs a u64"));
             }
-            "--threads" => {
-                let n: usize = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| CLI.usage_error("--threads needs a count"));
-                if n == 0 {
-                    CLI.usage_error("--threads must be at least 1");
-                }
-                args.threads = Some(n);
-            }
+            "--threads" => args.threads = Some(CLI.thread_count(&value("--threads"))),
             "--requests" => {
                 let n: usize = value("--requests")
                     .parse()

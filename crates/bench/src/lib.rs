@@ -62,6 +62,16 @@ impl Cli {
         f
     }
 
+    /// Parses `raw` as the `--threads` worker count, at least 1, or exits
+    /// through [`Cli::usage_error`].
+    pub fn thread_count(&self, raw: &str) -> usize {
+        match raw.parse() {
+            Ok(0) => self.usage_error("--threads must be at least 1"),
+            Ok(n) => n,
+            Err(_) => self.usage_error("--threads needs a count"),
+        }
+    }
+
     /// Prints a runtime (non-usage) error and exits with status 1.
     pub fn fail(&self, msg: &str) -> ! {
         eprintln!("{}: {msg}", self.name);

@@ -94,11 +94,6 @@ impl EventQueue {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -120,7 +115,6 @@ mod tests {
         q.push(5.0, Event::Submit(1));
         q.push(1.0, Event::Submit(2));
         q.push(3.0, Event::Finish { job: JobId(9), attempt: 1 });
-        assert_eq!(q.peek_time(), Some(1.0));
         assert_eq!(q.pop(), Some((1.0, Event::Submit(2))));
         assert_eq!(q.pop(), Some((3.0, Event::Finish { job: JobId(9), attempt: 1 })));
         assert_eq!(q.pop(), Some((5.0, Event::Submit(1))));

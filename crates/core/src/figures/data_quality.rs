@@ -9,13 +9,48 @@
 //! profile, push it through [`mod@crate::ingest`], and compare the
 //! recovered headline statistics against the clean ones.
 
-use crate::ingest::IngestReport;
-use crate::pipeline::DatasetReport;
-use sc_telemetry::corruption::{CorruptionCounters, FaultClass};
-
 use crate::figures::fig13::SizeBucket;
-use crate::ingest::SeriesStudy;
+use crate::ingest::{corrupt_and_ingest, DataQualityError, IngestReport, SeriesStudy};
+use crate::pipeline::{DatasetReport, PipelineError};
+use sc_obs::Obs;
+use sc_telemetry::corruption::{CorruptionCounters, DataQualityProfile, FaultClass};
+use sc_telemetry::Dataset;
 use sc_workload::LifecycleClass;
+
+/// The round-trip stage that failed. Displays as the underlying error;
+/// [`RoundTripError::stage`] names the stage.
+#[derive(Debug)]
+pub enum RoundTripError {
+    /// The figure pipeline on the clean dataset.
+    Clean(PipelineError),
+    /// Corruption plus the hardened ingest.
+    Ingest(DataQualityError),
+    /// The figure pipeline on the recovered dataset.
+    Recovered(PipelineError),
+}
+
+impl RoundTripError {
+    /// The failed stage: `clean pipeline`, `ingest` or `recovered
+    /// pipeline`.
+    pub fn stage(&self) -> &'static str {
+        match self {
+            RoundTripError::Clean(_) => "clean pipeline",
+            RoundTripError::Ingest(_) => "ingest",
+            RoundTripError::Recovered(_) => "recovered pipeline",
+        }
+    }
+}
+
+impl std::fmt::Display for RoundTripError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RoundTripError::Clean(e) | RoundTripError::Recovered(e) => e.fmt(f),
+            RoundTripError::Ingest(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RoundTripError {}
 
 /// One headline statistic, clean vs recovered.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,14 +93,36 @@ pub struct DataQualityFig {
 }
 
 impl DataQualityFig {
-    /// Builds the report from the two pipeline runs and the ledgers.
+    /// The whole round trip: corrupt `clean` with `profile` (seeded by
+    /// `seed`), repair it through the hardened ingest (emitting its
+    /// decisions into `obs`), and compare the figure pipeline on both
+    /// datasets. The series micro-study is left unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing stage as a [`RoundTripError`].
+    pub fn round_trip(
+        clean: &Dataset,
+        profile: DataQualityProfile,
+        seed: u64,
+        obs: &Obs,
+    ) -> Result<Self, RoundTripError> {
+        let clean_report = DatasetReport::try_from_dataset(clean).map_err(RoundTripError::Clean)?;
+        let (ingested, injected) =
+            corrupt_and_ingest(clean, profile, seed, obs).map_err(RoundTripError::Ingest)?;
+        let recovered = DatasetReport::try_from_dataset(&ingested.dataset)
+            .map_err(RoundTripError::Recovered)?;
+        Ok(Self::compute(profile.label(), injected, ingested.report, &clean_report, &recovered))
+    }
+
+    /// Builds the report from the two pipeline runs and the ledgers,
+    /// with no series micro-study.
     pub fn compute(
         profile: &str,
         injected: CorruptionCounters,
         report: IngestReport,
         clean: &DatasetReport,
         recovered: &DatasetReport,
-        series: Option<SeriesStudy>,
     ) -> Self {
         let row = |metric, c: f64, r: f64| DeltaRow { metric, clean: c, recovered: r };
         let deltas = vec![
@@ -112,7 +169,7 @@ impl DataQualityFig {
                 recovered.fig10.top5_job_share,
             ),
         ];
-        DataQualityFig { profile: profile.to_string(), injected, report, deltas, series }
+        DataQualityFig { profile: profile.to_string(), injected, report, deltas, series: None }
     }
 
     /// Whether the ledger balances: every injected fault was detected,
@@ -182,18 +239,11 @@ impl DataQualityFig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::corrupt_and_ingest;
     use crate::testsupport::small_sim;
-    use sc_obs::Obs;
-    use sc_telemetry::corruption::DataQualityProfile;
 
     fn lossy_fig() -> DataQualityFig {
-        let clean = &small_sim().dataset;
-        let (out, injected) = corrupt_and_ingest(clean, DataQualityProfile::Lossy, 42, &Obs::off())
-            .expect("lossy ingest succeeds");
-        let clean_report = DatasetReport::try_from_dataset(clean).expect("clean pipeline");
-        let recovered = DatasetReport::try_from_dataset(&out.dataset).expect("recovered pipeline");
-        DataQualityFig::compute("lossy", injected, out.report, &clean_report, &recovered, None)
+        DataQualityFig::round_trip(&small_sim().dataset, DataQualityProfile::Lossy, 42, &Obs::off())
+            .expect("lossy round trip succeeds")
     }
 
     #[test]

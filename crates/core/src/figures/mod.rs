@@ -29,7 +29,7 @@ pub mod streaming;
 pub mod timeline;
 
 pub use classifier::ClassifierFig;
-pub use data_quality::{DataQualityFig, DeltaRow};
+pub use data_quality::{DataQualityFig, DeltaRow, RoundTripError};
 pub use fig03::Fig3;
 pub use fig04::Fig4;
 pub use fig05::Fig5;

@@ -66,12 +66,6 @@ impl WorkflowChain {
         }
     }
 
-    /// Probability of staying in the same class on the next job — the
-    /// "campaign persistence" of each workflow stage.
-    pub fn self_transition(&self, class: LifecycleClass) -> Option<f64> {
-        self.probability(class, class)
-    }
-
     /// The stationary distribution of the chain (power iteration), or
     /// `None` if some class was never left or entered.
     pub fn stationary(&self) -> Option<[f64; 4]> {
@@ -158,7 +152,8 @@ mod tests {
         // for the dominant class.
         let views = small_views();
         let chain = WorkflowChain::fit(&views);
-        let mature_stay = chain.self_transition(LifecycleClass::Mature).expect("observed");
+        let mature_stay =
+            chain.probability(LifecycleClass::Mature, LifecycleClass::Mature).expect("observed");
         assert!(mature_stay > 0.3, "P(mature→mature) = {mature_stay}");
     }
 

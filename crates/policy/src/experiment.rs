@@ -81,10 +81,12 @@ impl PolicyExperiment {
         PolicyExperiment { base, spec, classifier: ClassifierConfig::default() }
     }
 
-    /// The configuration both arms actually run (tiered experiments get
-    /// the default slow tier if the base has none).
+    /// The configuration every arm actually runs: the base without the
+    /// detailed-series subset (only Figs. 6–7 read it, never the
+    /// deltas), plus the default slow tier for a tiered experiment
+    /// whose base has none.
     pub fn config(&self) -> SimConfig {
-        let mut cfg = self.base.clone();
+        let mut cfg = SimConfig { detailed_series_jobs: 0, ..self.base.clone() };
         if self.spec == PolicySpec::Tiered && cfg.cluster.slow_tier.is_none() {
             cfg.cluster.slow_tier = Some(DEFAULT_SLOW_TIER);
         }

@@ -24,14 +24,12 @@
 
 use crate::query::{Query, RelQuery};
 use sc_cluster::{SimConfig, SimOutput, Simulation};
-use sc_core::pipeline::DatasetReport;
-use sc_core::{corrupt_and_ingest, QueryKey, ReliabilityConfig};
+use sc_core::{DataQualityFig, QueryKey, ReliabilityConfig};
 use sc_obs::stagelog::StageSpan;
 use sc_obs::{Obs, SharedCounter, StageLog};
 use sc_par::{CacheOutcome, CacheStats, Executor, MemoCache};
 use sc_policy::PolicyExperiment;
 use sc_scenario::Scenario;
-use sc_telemetry::corruption::DataQualityProfile;
 use sc_workload::Trace;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -311,16 +309,17 @@ impl Service {
             Query::Figure(id) => id
                 .render_from_sim(&self.out)
                 .unwrap_or_else(|e| format!("ERROR fig:{}: {e}\n", id.name())),
-            Query::PolicyAb(spec) => {
-                // The arms re-simulate the frozen trace; the detailed
-                // telemetry subset only feeds figures 6/7, so the A/B
-                // replay skips it (same shortcut as the batch tool).
-                let base = SimConfig { detailed_series_jobs: 0, ..self.sim_config.clone() };
-                PolicyExperiment::new(base, *spec).run(&self.trace, &Obs::off()).fig.render()
-            }
-            Query::DataQuality(profile) => self
-                .compute_data_quality(*profile)
-                .unwrap_or_else(|e| format!("ERROR dq:{}: {e}\n", profile.label())),
+            Query::PolicyAb(spec) => PolicyExperiment::new(self.sim_config.clone(), *spec)
+                .run(&self.trace, &Obs::off())
+                .fig
+                .render(),
+            Query::DataQuality(profile) => DataQualityFig::round_trip(
+                &self.out.dataset,
+                *profile,
+                self.config.seed,
+                &Obs::off(),
+            )
+            .map_or_else(|e| format!("ERROR dq:{}: {e}\n", profile.label()), |fig| fig.render()),
             Query::Reliability(r) => self.compute_reliability(*r),
         }
     }
@@ -328,10 +327,9 @@ impl Service {
     /// Answers one `rel:*` query: replay the frozen trace under the
     /// scenario's failure model (or a stressed Supercloud default when
     /// the world has none) and render the requested figure. Like the
-    /// policy arms, the replay skips the detailed telemetry subset and
-    /// relies on the memo cache to amortize repeats.
+    /// policy arms, the replay relies on the memo cache to amortize
+    /// repeats.
     fn compute_reliability(&self, r: RelQuery) -> String {
-        let base = SimConfig { detailed_series_jobs: 0, ..self.sim_config.clone() };
         let model = self.world.reliability_failure_model(self.config.seed);
         let cfg = match &self.config.scenario {
             Some(sc) => sc.reliability_config(),
@@ -347,38 +345,21 @@ impl Service {
         };
         match r {
             RelQuery::Summary => {
-                sc_core::reliability::reliability_size_fig(&self.trace, &base, &model).render()
+                sc_core::reliability::reliability_size_fig(&self.trace, &self.sim_config, &model)
+                    .render()
             }
             RelQuery::Frontier => sc_core::reliability::goodput_frontier(
                 &self.trace,
-                &base,
+                &self.sim_config,
                 &model,
                 &cfg.mtbf_factors,
             )
             .render(),
             RelQuery::Sweep => {
-                sc_core::reliability::checkpoint_sweep(&self.trace, &base, &model, &cfg).render()
+                sc_core::reliability::checkpoint_sweep(&self.trace, &self.sim_config, &model, &cfg)
+                    .render()
             }
         }
-    }
-
-    fn compute_data_quality(&self, profile: DataQualityProfile) -> Result<String, String> {
-        let clean =
-            DatasetReport::try_from_dataset(&self.out.dataset).map_err(|e| e.to_string())?;
-        let (ingested, injected) =
-            corrupt_and_ingest(&self.out.dataset, profile, self.config.seed, &Obs::off())
-                .map_err(|e| e.to_string())?;
-        let recovered =
-            DatasetReport::try_from_dataset(&ingested.dataset).map_err(|e| e.to_string())?;
-        let fig = sc_core::DataQualityFig::compute(
-            profile.label(),
-            injected,
-            ingested.report,
-            &clean,
-            &recovered,
-            None,
-        );
-        Ok(fig.render())
     }
 }
 

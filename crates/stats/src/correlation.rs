@@ -22,14 +22,6 @@ pub struct SpearmanResult {
     pub n: usize,
 }
 
-impl SpearmanResult {
-    /// Whether the correlation is significant at the given level
-    /// (the paper uses 0.05).
-    pub fn is_significant(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Assigns fractional ranks (average rank for ties), 1-based, matching
 /// `scipy.stats.rankdata(method="average")`.
 pub fn fractional_ranks(data: &[f64]) -> Vec<f64> {
@@ -292,7 +284,7 @@ mod tests {
         let y: Vec<f64> = (0..40).map(|i| if i % 2 == 0 { 1.0 } else { 0.0 }).collect();
         let r = spearman(&x, &y).unwrap();
         assert!(r.rho.abs() < 0.2, "rho={}", r.rho);
-        assert!(!r.is_significant(0.05));
+        assert!(r.p_value >= 0.05, "p={}", r.p_value);
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl LogQuantileSketch {
         self.rejected
     }
 
-    /// Number of occupied buckets — the sketch's memory footprint.
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len() + usize::from(self.zeros > 0)
-    }
-
     /// The `q`-quantile estimate (`q` clamped to `[0, 1]`), or `None`
     /// for an empty sketch. Uses the lower nearest rank,
     /// `floor(q * (count - 1))`, so `quantile(0.0)` / `quantile(1.0)`
@@ -448,7 +443,7 @@ mod tests {
         q.push(1000.0);
         assert_eq!(q.quantile(0.5).unwrap(), 0.0);
         assert!(q.quantile(1.0).unwrap() > 900.0);
-        assert_eq!(q.occupied_buckets(), 2);
+        assert_eq!(q.count(), 10);
     }
 
     #[test]

@@ -290,8 +290,7 @@ fn data_quality_round_trip_is_deterministic_across_thread_budgets() {
                 .expect("lossy ingest succeeds");
         let recovered =
             DatasetReport::try_from_dataset(&ingested.dataset).expect("recovered pipeline");
-        let fig =
-            DataQualityFig::compute("lossy", injected, ingested.report, &clean, &recovered, None);
+        let fig = DataQualityFig::compute("lossy", injected, ingested.report, &clean, &recovered);
         (ingested.dataset.to_json().expect("serializable"), fig.render(), out.telemetry_summary)
     };
 

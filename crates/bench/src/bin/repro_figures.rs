@@ -890,7 +890,9 @@ fn main() {
         let t0 = std::time::Instant::now();
         let mut exp = PolicyExperiment::new(sim_config.clone(), policy);
         exp.classifier = classifier_cfg.clone();
-        let result = exp.run(&trace, &obs);
+        let result = exp
+            .run(&trace, &obs)
+            .unwrap_or_else(|e| CLI.fail(&format!("policy A/B ({}): {e}", policy.label())));
         flush_trace();
         eprintln!("policy A/B done in {:?}", t0.elapsed());
         result
@@ -993,7 +995,8 @@ fn main() {
         );
         let t0 = std::time::Instant::now();
         let model = sc.reliability_failure_model(seed);
-        let report = sc_core::run_reliability_study(&trace, &sim_config, &model, &rel_cfg);
+        let report = sc_core::run_reliability_study(&trace, &sim_config, &model, &rel_cfg)
+            .unwrap_or_else(|e| CLI.fail(&format!("reliability study: {e}")));
         eprintln!("reliability study done in {:?}", t0.elapsed());
         report
     });

@@ -23,20 +23,8 @@ pub struct Fig4 {
 }
 
 impl Fig4 {
-    /// Computes the figure from GPU-job views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `views` is empty.
-    pub fn compute(views: &[GpuJobView<'_>]) -> Self {
-        match Self::try_compute(views) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig4: {e}"),
-        }
-    }
-
     /// Computes the figure, returning a typed error when `views` is
-    /// empty (or holds non-finite aggregates) instead of panicking.
+    /// empty (or holds non-finite aggregates).
     ///
     /// # Errors
     ///
@@ -106,7 +94,7 @@ mod tests {
     #[test]
     fn sm_dominates_memory_bandwidth() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).expect("fig4");
         // "SM is more heavily utilized than memory bandwidth."
         assert!(fig.sm.median() > fig.mem.median());
         assert!(fig.mem.median() < 8.0, "mem median {}", fig.mem.median());
@@ -115,7 +103,7 @@ mod tests {
     #[test]
     fn most_jobs_underutilize_everything() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).expect("fig4");
         // "only 20% of the jobs have more than 50% SM utilization" —
         // directionally: a minority exceeds 50% on each resource.
         assert!(fig.sm.fraction_above(50.0) < 0.45);
@@ -126,7 +114,7 @@ mod tests {
     #[test]
     fn pcie_distribution_is_spread_out() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).expect("fig4");
         // Fig. 4b's "linearly increasing CDF": mass is not clumped —
         // interquartile range is a large slice of the support.
         let iqr = fig.pcie_rx.quantile(0.75) - fig.pcie_rx.quantile(0.25);
@@ -136,7 +124,7 @@ mod tests {
     #[test]
     fn render_and_compare() {
         let views = small_views();
-        let fig = Fig4::compute(&views);
+        let fig = Fig4::try_compute(&views).expect("fig4");
         assert!(fig.render().contains("Fig. 4(b)"));
         assert_eq!(fig.comparisons().len(), 6);
     }

@@ -20,20 +20,8 @@ pub struct Fig11 {
 }
 
 impl Fig11 {
-    /// Computes the figure from per-user statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no user has two or more jobs.
-    pub fn compute(stats: &[UserStats]) -> Self {
-        match Self::try_compute(stats) {
-            Ok(fig) => fig,
-            Err(e) => panic!("fig11: {e}"),
-        }
-    }
-
     /// Computes the figure, returning a typed error when no user has
-    /// two or more jobs instead of panicking.
+    /// two or more jobs.
     ///
     /// # Errors
     ///
@@ -115,7 +103,7 @@ mod tests {
     #[test]
     fn users_are_internally_heterogeneous() {
         let stats = small_user_stats();
-        let fig = Fig11::compute(&stats);
+        let fig = Fig11::try_compute(&stats).expect("fig11");
         // "the behavior of different jobs submitted by a user varies
         // greatly" — median CoV of run time is far above 50%.
         assert!(fig.cov_runtime.median() > 80.0, "runtime CoV median {}", fig.cov_runtime.median());
@@ -125,7 +113,7 @@ mod tests {
     #[test]
     fn some_users_exceed_1000_percent() {
         let stats = small_user_stats();
-        let fig = Fig11::compute(&stats);
+        let fig = Fig11::try_compute(&stats).expect("fig11");
         // "some users have a job run time CoV of over 1000%" — the tail
         // must be long. At the test fixture's scale (~60 users) the
         // extreme order statistic is noisy, so require the max to sit
@@ -142,7 +130,7 @@ mod tests {
     #[test]
     fn render_and_rows() {
         let stats = small_user_stats();
-        let fig = Fig11::compute(&stats);
+        let fig = Fig11::try_compute(&stats).expect("fig11");
         assert!(fig.render().contains("Fig. 11"));
         assert_eq!(fig.comparisons().len(), 6);
     }

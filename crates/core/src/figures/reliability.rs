@@ -50,14 +50,10 @@ pub struct ReliabilitySizeFig {
 impl ReliabilitySizeFig {
     /// Computes the figure from a simulation output.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the output has no job fates (an empty trace).
-    pub fn compute(out: &SimOutput) -> Self {
-        Self::try_compute(out).expect("non-empty simulation output")
-    }
-
-    /// Fallible form of [`ReliabilitySizeFig::compute`].
+    /// Returns [`StatsError::EmptyInput`] when the output has no job
+    /// fates (an empty trace).
     pub fn try_compute(out: &SimOutput) -> Result<Self, StatsError> {
         if out.fates.is_empty() {
             return Err(StatsError::EmptyInput);
@@ -381,7 +377,7 @@ mod tests {
     #[test]
     fn size_fig_computes_on_failure_free_runs() {
         let out = small_sim();
-        let fig = ReliabilitySizeFig::compute(out);
+        let fig = ReliabilitySizeFig::try_compute(out).expect("reliability size");
         assert!(!fig.rows.is_empty());
         let text = fig.render();
         assert!(text.contains("Reliability vs job size"));
@@ -400,7 +396,7 @@ mod tests {
             ..Default::default()
         })
         .run(&trace);
-        let fig = ReliabilitySizeFig::compute(&out);
+        let fig = ReliabilitySizeFig::try_compute(&out).expect("reliability size");
         assert!(fig.rows.iter().any(|r| r.failures > 0), "stress run must fail jobs");
         assert!(fig.render().contains("per-1k-gpu-days"));
     }

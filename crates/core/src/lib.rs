@@ -12,8 +12,11 @@
 //!   as the matching seeded injector).
 //! - [`figures`]: one module per paper figure, each a pure function of
 //!   the simulated dataset returning the figure's series plus
-//!   paper-vs-measured [`report::Comparison`] rows.
-//! - [`pipeline::AnalysisReport`]: the whole evaluation in one call.
+//!   paper-vs-measured [`report::Comparison`] rows. A figure's one
+//!   constructor, `try_compute`, returns a typed
+//!   [`StatsError`] on a degenerate input; none panics.
+//! - [`pipeline::AnalysisReport`]: the whole evaluation in one call,
+//!   embedding the dataset-only [`pipeline::DatasetReport`].
 //! - [`paper`]: every number the paper reports, as cited constants.
 //!
 //! # Example
@@ -21,13 +24,18 @@
 //! ```no_run
 //! use sc_cluster::Simulation;
 //! use sc_core::AnalysisReport;
+//! use sc_obs::StageLog;
 //! use sc_workload::{Trace, WorkloadSpec};
 //!
 //! // Full 125-day reproduction (takes a couple of minutes):
 //! let trace = Trace::generate(&WorkloadSpec::supercloud(), 42);
 //! let out = Simulation::supercloud().run(&trace);
-//! let report = AnalysisReport::from_sim(&out);
-//! println!("{}", report.render_text());
+//! // A trace too small for some figure's population yields a typed
+//! // error naming the stage ("pipeline stage fig5: ...").
+//! match AnalysisReport::try_from_sim_logged(&out, &StageLog::new()) {
+//!     Ok(report) => println!("{}", report.render_text()),
+//!     Err(e) => eprintln!("{e}"),
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -64,6 +72,8 @@ pub use pipeline::{AnalysisReport, DatasetReport, PipelineError};
 pub use query::{FigureId, PointStat, QueryKey};
 pub use reliability::{run_reliability_study, GrowthTiming, ReliabilityConfig, ReliabilityReport};
 pub use report::Comparison;
+/// The error every figure's `try_compute` returns.
+pub use sc_stats::StatsError;
 pub use userstats::{user_stats, UserStats};
 pub use view::{gpu_views, GpuJobView};
 pub use workflow::WorkflowChain;

@@ -4,11 +4,11 @@
 use crate::figures::*;
 use crate::report::{markdown_table, Comparison};
 use crate::userstats::{user_stats, UserStats};
-use crate::view::gpu_views;
+use crate::view::{gpu_views, GpuJobView};
 use sc_cluster::{ClusterSpec, SimOutput};
 use sc_obs::StageLog;
 use sc_stats::StatsError;
-use sc_telemetry::dataset::DatasetFunnel;
+use sc_telemetry::dataset::{Dataset, DatasetFunnel};
 
 /// A figure stage failed on a degenerate input. Carries the stage name
 /// so a pipeline over repaired (possibly thinned) data can report
@@ -38,177 +38,99 @@ fn take<T>(slot: Option<Result<T, StatsError>>, stage: &'static str) -> Result<T
     slot.expect("fan-out task ran").map_err(|source| PipelineError { stage, source })
 }
 
-/// Every figure of the paper, computed from one simulation run.
+/// Every figure of the paper, computed from one simulation run: the
+/// dataset-only figures plus the four that need the simulator's
+/// detailed subset, goodput ledger or timeline.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
     /// Table I rows.
     pub table1: Vec<(String, String)>,
     /// Dataset funnel (Sec. II).
     pub funnel: DatasetFunnel,
-    /// Fig. 3 — run times and queue waits.
-    pub fig3: Fig3,
-    /// Fig. 4 — utilization CDFs.
-    pub fig4: Fig4,
-    /// Fig. 5 — utilization by interface.
-    pub fig5: Fig5,
+    /// Figs. 3–5 and 8–17, computed from the joined dataset alone.
+    pub dataset: DatasetReport,
     /// Fig. 6 — active/idle phases.
     pub fig6: Fig6,
     /// Fig. 7 — variability and bottleneck radar.
     pub fig7: Fig7,
-    /// Fig. 8 — bottleneck combinations.
-    pub fig8: Fig8,
-    /// Fig. 9 — power.
-    pub fig9: Fig9,
-    /// Fig. 10 — per-user averages.
-    pub fig10: Fig10,
-    /// Fig. 11 — per-user variability.
-    pub fig11: Fig11,
-    /// Fig. 12 — activity correlations.
-    pub fig12: Fig12,
-    /// Fig. 13 — multi-GPU sizes.
-    pub fig13: Fig13,
-    /// Fig. 14 — cross-GPU balance.
-    pub fig14: Fig14,
-    /// Fig. 15 — lifecycle mix.
-    pub fig15: Fig15,
-    /// Fig. 16 — utilization by class.
-    pub fig16: Fig16,
-    /// Fig. 17 — per-user lifecycle structure.
-    pub fig17: Fig17,
     /// Goodput and failure attribution (reliability extension; not a
     /// paper figure).
     pub goodput: GoodputFig,
     /// Cluster state over the run (observability extension; not a
     /// paper figure).
     pub timeline: ClusterTimelineFig,
+    /// Jobs in the detailed time-series subset Figs. 6–7 read.
+    pub detailed_jobs: usize,
     /// The per-user statistics the user-level figures were computed
     /// from.
     pub users: Vec<UserStats>,
 }
 
 impl AnalysisReport {
-    /// Computes every figure from a simulation output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output lacks the populations a figure needs (e.g.
-    /// no multi-GPU jobs, no detailed subset) — run a large enough
-    /// trace.
-    pub fn from_sim(out: &SimOutput) -> Self {
-        Self::from_sim_logged(out, &StageLog::new())
-    }
-
-    /// Like [`AnalysisReport::from_sim`], recording a wall-clock span
-    /// per pipeline stage (view building, user stats, each figure)
-    /// into `log` — the substrate of the Chrome trace export. The
-    /// report itself is identical to `from_sim`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`AnalysisReport::from_sim`].
-    pub fn from_sim_logged(out: &SimOutput, log: &StageLog) -> Self {
-        match Self::try_from_sim_logged(out, log) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The `Result`-based core of the pipeline: computes every figure,
-    /// recording one span per stage, and surfaces the first degenerate
-    /// input as a typed error instead of panicking.
+    /// Computes every figure from a simulation output, recording a
+    /// wall-clock span per stage (view building, user stats, each
+    /// figure) into `log` — the substrate of the Chrome trace export.
     ///
     /// # Errors
     ///
-    /// Returns the first failing stage as a [`PipelineError`].
+    /// Returns the first failing stage as a [`PipelineError`]: a
+    /// dataset figure's before Fig. 6's, Fig. 7's, goodput's or the
+    /// timeline's.
     pub fn try_from_sim_logged(out: &SimOutput, log: &StageLog) -> Result<Self, PipelineError> {
         let views = log.time("gpu_views", || gpu_views(&out.dataset));
         let users = log.time("user_stats", || user_stats(&views));
-        // The figure computations are independent of each other; fan
-        // them out over the sc-par thread budget. Each task writes its
-        // own slot, so no figure depends on task scheduling order.
-        let mut fig3 = None;
-        let mut fig4 = None;
-        let mut fig5 = None;
         let mut fig6 = None;
         let mut fig7 = None;
-        let mut fig8 = None;
-        let mut fig9 = None;
-        let mut fig10 = None;
-        let mut fig11 = None;
-        let mut fig12 = None;
-        let mut fig13 = None;
-        let mut fig14 = None;
-        let mut fig15 = None;
-        let mut fig16 = None;
-        let mut fig17 = None;
         let mut goodput = None;
         let mut timeline = None;
-        {
-            let (views, users, detailed) = (&views, &users, &out.detailed);
-            sc_par::run_tasks(vec![
-                Box::new(|| fig3 = Some(log.time("fig03", || Fig3::try_compute(&out.dataset)))),
-                Box::new(|| fig4 = Some(log.time("fig04", || Fig4::try_compute(views)))),
-                Box::new(|| fig5 = Some(log.time("fig05", || Fig5::try_compute(views)))),
-                Box::new(|| fig6 = Some(log.time("fig06", || Fig6::try_compute(detailed)))),
-                Box::new(|| fig7 = Some(log.time("fig07", || Fig7::try_compute(detailed, views)))),
-                Box::new(|| fig8 = Some(log.time("fig08", || Fig8::try_compute(views)))),
-                Box::new(|| fig9 = Some(log.time("fig09", || Fig9::try_compute(views)))),
-                Box::new(|| fig10 = Some(log.time("fig10", || Fig10::try_compute(users)))),
-                Box::new(|| fig11 = Some(log.time("fig11", || Fig11::try_compute(users)))),
-                Box::new(|| fig12 = Some(log.time("fig12", || Fig12::try_compute(users)))),
-                Box::new(|| fig13 = Some(log.time("fig13", || Fig13::try_compute(views, users)))),
-                Box::new(|| fig14 = Some(log.time("fig14", || Fig14::try_compute(views)))),
-                Box::new(|| fig15 = Some(log.time("fig15", || Fig15::try_compute(views)))),
-                Box::new(|| fig16 = Some(log.time("fig16", || Fig16::try_compute(views)))),
-                Box::new(|| fig17 = Some(log.time("fig17", || Fig17::try_compute(users)))),
+        let dataset = DatasetReport::fan_out(
+            &out.dataset,
+            &views,
+            &users,
+            log,
+            vec![
+                Box::new(|| fig6 = Some(log.time("fig06", || Fig6::try_compute(&out.detailed)))),
+                Box::new(|| {
+                    fig7 = Some(log.time("fig07", || Fig7::try_compute(&out.detailed, &views)))
+                }),
                 Box::new(|| goodput = Some(log.time("goodput", || GoodputFig::try_compute(out)))),
                 Box::new(|| {
                     timeline = Some(log.time("timeline", || ClusterTimelineFig::try_compute(out)))
                 }),
-            ]);
-        }
+            ],
+        )?;
         Ok(AnalysisReport {
             table1: ClusterSpec::supercloud().table1(),
             funnel: out.dataset.funnel(),
-            fig3: take(fig3, "fig3")?,
-            fig4: take(fig4, "fig4")?,
-            fig5: take(fig5, "fig5")?,
+            dataset,
             fig6: take(fig6, "fig6")?,
             fig7: take(fig7, "fig7")?,
-            fig8: take(fig8, "fig8")?,
-            fig9: take(fig9, "fig9")?,
-            fig10: take(fig10, "fig10")?,
-            fig11: take(fig11, "fig11")?,
-            fig12: take(fig12, "fig12")?,
-            fig13: take(fig13, "fig13")?,
-            fig14: take(fig14, "fig14")?,
-            fig15: take(fig15, "fig15")?,
-            fig16: take(fig16, "fig16")?,
-            fig17: take(fig17, "fig17")?,
             goodput: take(goodput, "goodput")?,
             timeline: take(timeline, "timeline")?,
+            detailed_jobs: out.detailed.len(),
             users,
         })
     }
 
     /// All paper-vs-measured comparisons, grouped by figure.
     pub fn all_comparisons(&self) -> Vec<(&'static str, Vec<Comparison>)> {
+        let d = &self.dataset;
         vec![
-            ("Fig. 3 — run times and queue waits", self.fig3.comparisons()),
-            ("Fig. 4 — GPU resource utilization", self.fig4.comparisons()),
-            ("Fig. 5 — job-type mix", self.fig5.comparisons()),
+            ("Fig. 3 — run times and queue waits", d.fig3.comparisons()),
+            ("Fig. 4 — GPU resource utilization", d.fig4.comparisons()),
+            ("Fig. 5 — job-type mix", d.fig5.comparisons()),
             ("Fig. 6 — active/idle phases", self.fig6.comparisons()),
             ("Fig. 7 — variability and bottlenecks", self.fig7.comparisons()),
-            ("Fig. 8 — bottleneck combinations", self.fig8.comparisons()),
-            ("Fig. 9 — power and power capping", self.fig9.comparisons()),
-            ("Fig. 10 — per-user averages", self.fig10.comparisons()),
-            ("Fig. 11 — per-user variability", self.fig11.comparisons()),
-            ("Fig. 12 — expert-user correlations", self.fig12.comparisons()),
-            ("Fig. 13 — multi-GPU jobs", self.fig13.comparisons()),
-            ("Fig. 14 — cross-GPU balance", self.fig14.comparisons()),
-            ("Fig. 15 — lifecycle mix", self.fig15.comparisons()),
-            ("Fig. 16 — utilization by class", self.fig16.comparisons()),
-            ("Fig. 17 — per-user lifecycle structure", self.fig17.comparisons()),
+            ("Fig. 8 — bottleneck combinations", d.fig8.comparisons()),
+            ("Fig. 9 — power and power capping", d.fig9.comparisons()),
+            ("Fig. 10 — per-user averages", d.fig10.comparisons()),
+            ("Fig. 11 — per-user variability", d.fig11.comparisons()),
+            ("Fig. 12 — expert-user correlations", d.fig12.comparisons()),
+            ("Fig. 13 — multi-GPU jobs", d.fig13.comparisons()),
+            ("Fig. 14 — cross-GPU balance", d.fig14.comparisons()),
+            ("Fig. 15 — lifecycle mix", d.fig15.comparisons()),
+            ("Fig. 16 — utilization by class", d.fig16.comparisons()),
+            ("Fig. 17 — per-user lifecycle structure", d.fig17.comparisons()),
             ("Goodput — failure attribution", self.goodput.comparisons()),
         ]
     }
@@ -229,22 +151,23 @@ impl AnalysisReport {
             self.funnel.gpu_jobs_filtered_out,
             self.funnel.unique_users
         ));
+        let d = &self.dataset;
         for part in [
-            self.fig3.render(),
-            self.fig4.render(),
-            self.fig5.render(),
+            d.fig3.render(),
+            d.fig4.render(),
+            d.fig5.render(),
             self.fig6.render(),
             self.fig7.render(),
-            self.fig8.render(),
-            self.fig9.render(),
-            self.fig10.render(),
-            self.fig11.render(),
-            self.fig12.render(),
-            self.fig13.render(),
-            self.fig14.render(),
-            self.fig15.render(),
-            self.fig16.render(),
-            self.fig17.render(),
+            d.fig8.render(),
+            d.fig9.render(),
+            d.fig10.render(),
+            d.fig11.render(),
+            d.fig12.render(),
+            d.fig13.render(),
+            d.fig14.render(),
+            d.fig15.render(),
+            d.fig16.render(),
+            d.fig17.render(),
             self.goodput.render(),
             self.timeline.render(),
         ] {
@@ -275,7 +198,7 @@ impl AnalysisReport {
             self.funnel.total_jobs,
             self.funnel.gpu_jobs,
             self.funnel.unique_users,
-            "(see harness output)"
+            self.detailed_jobs
         ));
         for (title, rows) in self.all_comparisons() {
             s.push_str(&markdown_table(title, &rows));
@@ -329,11 +252,24 @@ impl DatasetReport {
     /// # Errors
     ///
     /// Returns the first failing stage as a [`PipelineError`].
-    pub fn try_from_dataset(dataset: &sc_telemetry::Dataset) -> Result<Self, PipelineError> {
+    pub fn try_from_dataset(dataset: &Dataset) -> Result<Self, PipelineError> {
         let views = gpu_views(dataset);
         let users = user_stats(&views);
-        // Same fan-out as `AnalysisReport::from_sim`, minus the two
-        // figures that need the detailed time-series subset.
+        Self::fan_out(dataset, &views, &users, &StageLog::new(), Vec::new())
+    }
+
+    /// Computes the dataset figures over `views` and `users`, one
+    /// `log` span each, on the sc-par thread budget together with the
+    /// caller's `extra` tasks. The figures are independent of each
+    /// other and each task writes its own slot, so no figure depends
+    /// on task scheduling order.
+    fn fan_out<'a>(
+        dataset: &'a Dataset,
+        views: &'a [GpuJobView<'a>],
+        users: &'a [UserStats],
+        log: &'a StageLog,
+        extra: Vec<Box<dyn FnOnce() + Send + 'a>>,
+    ) -> Result<Self, PipelineError> {
         let mut fig3 = None;
         let mut fig4 = None;
         let mut fig5 = None;
@@ -347,24 +283,22 @@ impl DatasetReport {
         let mut fig15 = None;
         let mut fig16 = None;
         let mut fig17 = None;
-        {
-            let (views, users) = (&views, &users);
-            sc_par::run_tasks(vec![
-                Box::new(|| fig3 = Some(Fig3::try_compute(dataset))),
-                Box::new(|| fig4 = Some(Fig4::try_compute(views))),
-                Box::new(|| fig5 = Some(Fig5::try_compute(views))),
-                Box::new(|| fig8 = Some(Fig8::try_compute(views))),
-                Box::new(|| fig9 = Some(Fig9::try_compute(views))),
-                Box::new(|| fig10 = Some(Fig10::try_compute(users))),
-                Box::new(|| fig11 = Some(Fig11::try_compute(users))),
-                Box::new(|| fig12 = Some(Fig12::try_compute(users))),
-                Box::new(|| fig13 = Some(Fig13::try_compute(views, users))),
-                Box::new(|| fig14 = Some(Fig14::try_compute(views))),
-                Box::new(|| fig15 = Some(Fig15::try_compute(views))),
-                Box::new(|| fig16 = Some(Fig16::try_compute(views))),
-                Box::new(|| fig17 = Some(Fig17::try_compute(users))),
-            ]);
-        }
+        let figures: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+            Box::new(|| fig3 = Some(log.time("fig03", || Fig3::try_compute(dataset)))),
+            Box::new(|| fig4 = Some(log.time("fig04", || Fig4::try_compute(views)))),
+            Box::new(|| fig5 = Some(log.time("fig05", || Fig5::try_compute(views)))),
+            Box::new(|| fig8 = Some(log.time("fig08", || Fig8::try_compute(views)))),
+            Box::new(|| fig9 = Some(log.time("fig09", || Fig9::try_compute(views)))),
+            Box::new(|| fig10 = Some(log.time("fig10", || Fig10::try_compute(users)))),
+            Box::new(|| fig11 = Some(log.time("fig11", || Fig11::try_compute(users)))),
+            Box::new(|| fig12 = Some(log.time("fig12", || Fig12::try_compute(users)))),
+            Box::new(|| fig13 = Some(log.time("fig13", || Fig13::try_compute(views, users)))),
+            Box::new(|| fig14 = Some(log.time("fig14", || Fig14::try_compute(views)))),
+            Box::new(|| fig15 = Some(log.time("fig15", || Fig15::try_compute(views)))),
+            Box::new(|| fig16 = Some(log.time("fig16", || Fig16::try_compute(views)))),
+            Box::new(|| fig17 = Some(log.time("fig17", || Fig17::try_compute(users)))),
+        ];
+        sc_par::run_tasks(figures.into_iter().chain(extra).collect());
         Ok(DatasetReport {
             fig3: take(fig3, "fig3")?,
             fig4: take(fig4, "fig4")?,
@@ -417,7 +351,7 @@ mod tests {
         // The "published dataset" workflow: export the joined dataset,
         // reload it, and regenerate the dataset-only figures.
         let json = small_sim().dataset.to_json().expect("serializable");
-        let dataset = sc_telemetry::Dataset::from_json(&json).expect("parseable");
+        let dataset = Dataset::from_json(&json).expect("parseable");
         let report = DatasetReport::try_from_dataset(&dataset).expect("pipeline");
         let direct = DatasetReport::try_from_dataset(&small_sim().dataset).expect("pipeline");
         assert_eq!(report.fig4.sm.median(), direct.fig4.sm.median());
@@ -426,7 +360,8 @@ mod tests {
 
     #[test]
     fn full_pipeline_runs_on_small_trace() {
-        let report = AnalysisReport::from_sim(small_sim());
+        let report =
+            AnalysisReport::try_from_sim_logged(small_sim(), &StageLog::new()).expect("pipeline");
         assert!(!report.users.is_empty());
         assert_eq!(report.all_comparisons().len(), 16);
         let text = report.render_text();
@@ -441,7 +376,7 @@ mod tests {
     #[test]
     fn logged_pipeline_records_a_span_per_stage() {
         let log = StageLog::new();
-        let report = AnalysisReport::from_sim_logged(small_sim(), &log);
+        let report = AnalysisReport::try_from_sim_logged(small_sim(), &log).expect("pipeline");
         assert!(!report.users.is_empty());
         let spans = log.spans();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
@@ -455,5 +390,71 @@ mod tests {
         let doc = sc_obs::chrome_trace_json(&spans);
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"name\":\"gpu_views\""));
+    }
+
+    #[test]
+    fn every_figure_returns_a_typed_error_on_empty_input() {
+        // An empty trace runs to an empty simulation output; every
+        // other population below is empty too.
+        let mut spec = sc_workload::WorkloadSpec::supercloud();
+        spec.total_jobs = 0;
+        let out = sc_cluster::Simulation::supercloud().run(&sc_workload::Trace::generate(&spec, 1));
+        // The event loop closes even an empty run's timeline with one
+        // sample, so the timeline row gets a sample-less one.
+        let mut no_samples = out.clone();
+        no_samples.timeline = sc_obs::Timeline::new(60.0);
+        let dataset = Dataset::default();
+        let views: Vec<GpuJobView<'_>> = Vec::new();
+        let users: Vec<UserStats> = Vec::new();
+        let detailed: Vec<sc_cluster::DetailedJobStats> = Vec::new();
+        let cases: Vec<(&str, Result<(), StatsError>)> = vec![
+            ("fig3", Fig3::try_compute(&dataset).map(drop)),
+            ("fig4", Fig4::try_compute(&views).map(drop)),
+            ("fig5", Fig5::try_compute(&views).map(drop)),
+            ("fig6", Fig6::try_compute(&detailed).map(drop)),
+            ("fig7", Fig7::try_compute(&detailed, &views).map(drop)),
+            ("fig8", Fig8::try_compute(&views).map(drop)),
+            ("fig9", Fig9::try_compute(&views).map(drop)),
+            ("fig10", Fig10::try_compute(&users).map(drop)),
+            ("fig11", Fig11::try_compute(&users).map(drop)),
+            ("fig12", Fig12::try_compute(&users).map(drop)),
+            ("fig13", Fig13::try_compute(&views, &users).map(drop)),
+            ("fig14", Fig14::try_compute(&views).map(drop)),
+            ("fig15", Fig15::try_compute(&views).map(drop)),
+            ("fig16", Fig16::try_compute(&views).map(drop)),
+            ("fig17", Fig17::try_compute(&users).map(drop)),
+            ("goodput", GoodputFig::try_compute(&out).map(drop)),
+            ("timeline", ClusterTimelineFig::try_compute(&no_samples).map(drop)),
+            ("streaming", StreamingTelemetryFig::try_compute(&out).map(drop)),
+            ("reliability size", ReliabilitySizeFig::try_compute(&out).map(drop)),
+            ("policy A/B", PolicyAbFig::try_compute("off", &out, &out).map(drop)),
+        ];
+        for (name, result) in cases {
+            let expected = match name {
+                "fig12" => StatsError::InsufficientData { needed: 3, got: 0 },
+                _ => StatsError::EmptyInput,
+            };
+            assert_eq!(result, Err(expected), "{name}");
+        }
+        let err = DatasetReport::try_from_dataset(&dataset).expect_err("empty dataset");
+        assert_eq!(err.stage, "fig3");
+        let err = AnalysisReport::try_from_sim_logged(&out, &StageLog::new())
+            .expect_err("empty simulation output");
+        assert_eq!(err.stage, "fig3");
+    }
+
+    #[test]
+    fn a_trace_too_small_for_fig5_names_the_stage() {
+        // The stock supercloud workload at scale 0.001 (50 jobs) leaves
+        // an interface with no GPU jobs.
+        let spec = sc_workload::WorkloadSpec::supercloud().scaled(0.001);
+        let out = sc_cluster::Simulation::new(sc_cluster::SimConfig {
+            detailed_series_jobs: 50,
+            ..Default::default()
+        })
+        .run(&sc_workload::Trace::generate(&spec, 42));
+        let err = AnalysisReport::try_from_sim_logged(&out, &StageLog::new())
+            .expect_err("too small for fig5");
+        assert_eq!(err.stage, "fig5", "{err}");
     }
 }

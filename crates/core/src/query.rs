@@ -315,9 +315,16 @@ mod tests {
     #[test]
     fn standalone_renders_match_the_batch_pipeline() {
         let out = small_sim();
-        let report = crate::AnalysisReport::from_sim(out);
-        assert_eq!(FigureId::Fig3.render_from_sim(out).expect("fig3"), report.fig3.render());
-        assert_eq!(FigureId::Fig17.render_from_sim(out).expect("fig17"), report.fig17.render());
+        let report = crate::AnalysisReport::try_from_sim_logged(out, &sc_obs::StageLog::new())
+            .expect("pipeline");
+        assert_eq!(
+            FigureId::Fig3.render_from_sim(out).expect("fig3"),
+            report.dataset.fig3.render()
+        );
+        assert_eq!(
+            FigureId::Fig17.render_from_sim(out).expect("fig17"),
+            report.dataset.fig17.render()
+        );
         assert_eq!(
             FigureId::Goodput.render_from_sim(out).expect("goodput"),
             report.goodput.render()

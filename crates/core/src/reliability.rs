@@ -17,6 +17,7 @@ use crate::figures::reliability::{
     ReliabilitySizeFig, SweepClassVerdict, SweepRow,
 };
 use sc_cluster::{CheckpointPolicy, FailureModel, SimConfig, SimOutput, Simulation};
+use sc_stats::StatsError;
 use sc_workload::Trace;
 
 /// Knobs of the reliability study; `Default` matches the
@@ -149,13 +150,17 @@ fn class_goodput(out: &SimOutput) -> Vec<Option<f64>> {
 
 /// The baseline per-size-class reliability figure: one event-loop run
 /// with the model as given and no checkpointing.
+///
+/// # Errors
+///
+/// Returns [`StatsError::EmptyInput`] when the trace is empty.
 pub fn reliability_size_fig(
     trace: &Trace,
     base: &SimConfig,
     model: &FailureModel,
-) -> ReliabilitySizeFig {
+) -> Result<ReliabilitySizeFig, StatsError> {
     let out = Simulation::new(study_config(base, model, None)).run(trace);
-    ReliabilitySizeFig::compute(&out)
+    ReliabilitySizeFig::try_compute(&out)
 }
 
 /// The goodput frontier: one run per MTBF scale factor.
@@ -299,13 +304,17 @@ pub fn growth_study(
 /// Runs the full reliability study: baseline size table, goodput
 /// frontier, Young/Daly checkpoint sweep, and (when factors are given)
 /// the cluster-growth study.
+///
+/// # Errors
+///
+/// Returns [`StatsError::EmptyInput`] when the trace is empty.
 pub fn run_reliability_study(
     trace: &Trace,
     base: &SimConfig,
     model: &FailureModel,
     cfg: &ReliabilityConfig,
-) -> ReliabilityReport {
-    let size_fig = reliability_size_fig(trace, base, model);
+) -> Result<ReliabilityReport, StatsError> {
+    let size_fig = reliability_size_fig(trace, base, model)?;
     let frontier = goodput_frontier(trace, base, model, &cfg.mtbf_factors);
     let sweep = checkpoint_sweep(trace, base, model, cfg);
     let (growth, growth_timings) = if cfg.growth_factors.is_empty() {
@@ -313,7 +322,7 @@ pub fn run_reliability_study(
     } else {
         growth_study(trace, base, model, &cfg.growth_factors)
     };
-    ReliabilityReport { size_fig, frontier, sweep, growth, growth_timings }
+    Ok(ReliabilityReport { size_fig, frontier, sweep, growth, growth_timings })
 }
 
 #[cfg(test)]
@@ -346,7 +355,7 @@ mod tests {
             growth_factors: vec![2.0],
             ..Default::default()
         };
-        let a = run_reliability_study(&trace, &base, &model, &cfg);
+        let a = run_reliability_study(&trace, &base, &model, &cfg).expect("non-empty trace");
         assert_eq!(a.frontier.rows.len(), 2);
         assert_eq!(a.sweep.rows.len(), 3);
         assert!(a.growth.is_some());
@@ -358,7 +367,7 @@ mod tests {
             assert!(w[0].interval_secs < w[1].interval_secs);
         }
         assert!(a.sweep.worst_ratio().is_some(), "no class produced a verdict");
-        let b = run_reliability_study(&trace, &base, &model, &cfg);
+        let b = run_reliability_study(&trace, &base, &model, &cfg).expect("non-empty trace");
         assert_eq!(a.render(), b.render(), "study text must be deterministic");
     }
 

@@ -358,8 +358,8 @@ pub fn write_report_svgs(
             "fraction of jobs",
             Scale::Log10,
             &[
-                Series::new("GPU jobs", log_cdf(&report.fig3.gpu_runtime_min, 64)),
-                Series::new("CPU jobs", log_cdf(&report.fig3.cpu_runtime_min, 64)),
+                Series::new("GPU jobs", log_cdf(&report.dataset.fig3.gpu_runtime_min, 64)),
+                Series::new("CPU jobs", log_cdf(&report.dataset.fig3.cpu_runtime_min, 64)),
             ],
         ),
     )?;
@@ -371,8 +371,8 @@ pub fn write_report_svgs(
             "fraction of jobs",
             Scale::Linear,
             &[
-                Series::new("GPU jobs", cdf(&report.fig3.gpu_wait_pct, 64)),
-                Series::new("CPU jobs", cdf(&report.fig3.cpu_wait_pct, 64)),
+                Series::new("GPU jobs", cdf(&report.dataset.fig3.gpu_wait_pct, 64)),
+                Series::new("CPU jobs", cdf(&report.dataset.fig3.cpu_wait_pct, 64)),
             ],
         ),
     )?;
@@ -384,9 +384,9 @@ pub fn write_report_svgs(
             "fraction of jobs",
             Scale::Linear,
             &[
-                Series::new("SM", cdf(&report.fig4.sm, 64)),
-                Series::new("memory BW", cdf(&report.fig4.mem, 64)),
-                Series::new("memory size", cdf(&report.fig4.mem_size, 64)),
+                Series::new("SM", cdf(&report.dataset.fig4.sm, 64)),
+                Series::new("memory BW", cdf(&report.dataset.fig4.mem, 64)),
+                Series::new("memory size", cdf(&report.dataset.fig4.mem_size, 64)),
             ],
         ),
     )?;
@@ -398,8 +398,8 @@ pub fn write_report_svgs(
             "fraction of jobs",
             Scale::Linear,
             &[
-                Series::new("Tx", cdf(&report.fig4.pcie_tx, 64)),
-                Series::new("Rx", cdf(&report.fig4.pcie_rx, 64)),
+                Series::new("Tx", cdf(&report.dataset.fig4.pcie_tx, 64)),
+                Series::new("Rx", cdf(&report.dataset.fig4.pcie_rx, 64)),
             ],
         ),
     )?;
@@ -409,6 +409,7 @@ pub fn write_report_svgs(
             "Fig. 5(a) — SM utilization by job type",
             "SM utilization (%)",
             &report
+                .dataset
                 .fig5
                 .rows
                 .iter()
@@ -460,8 +461,8 @@ pub fn write_report_svgs(
             "fraction of jobs",
             Scale::Linear,
             &[
-                Series::new("average", cdf(&report.fig9.avg_power, 64)),
-                Series::new("maximum", cdf(&report.fig9.max_power, 64)),
+                Series::new("average", cdf(&report.dataset.fig9.avg_power, 64)),
+                Series::new("maximum", cdf(&report.dataset.fig9.max_power, 64)),
             ],
         ),
     )?;
@@ -471,6 +472,7 @@ pub fn write_report_svgs(
             "Fig. 13 — job sizes",
             "fraction of jobs",
             &report
+                .dataset
                 .fig13
                 .rows
                 .iter()
@@ -484,6 +486,7 @@ pub fn write_report_svgs(
             "Fig. 15 — GPU-hour share by life-cycle class",
             "fraction of GPU hours",
             &report
+                .dataset
                 .fig15
                 .shares
                 .iter()
@@ -497,6 +500,7 @@ pub fn write_report_svgs(
             "Fig. 16(a) — SM utilization by life-cycle class",
             "SM utilization (%)",
             &report
+                .dataset
                 .fig16
                 .rows
                 .iter()
@@ -607,7 +611,11 @@ mod tests {
 
     #[test]
     fn write_report_svgs_produces_files() {
-        let report = crate::AnalysisReport::from_sim(crate::testsupport::small_sim());
+        let report = crate::AnalysisReport::try_from_sim_logged(
+            crate::testsupport::small_sim(),
+            &sc_obs::StageLog::new(),
+        )
+        .expect("pipeline");
         let dir = std::env::temp_dir().join("sc_svg_test");
         let files = write_report_svgs(&report, &dir).expect("svg files written");
         assert!(files.len() >= 11);

@@ -311,8 +311,7 @@ impl Service {
                 .unwrap_or_else(|e| format!("ERROR fig:{}: {e}\n", id.name())),
             Query::PolicyAb(spec) => PolicyExperiment::new(self.sim_config.clone(), *spec)
                 .run(&self.trace, &Obs::off())
-                .fig
-                .render(),
+                .map_or_else(|e| format!("ERROR ab:{}: {e}\n", spec.label()), |r| r.fig.render()),
             Query::DataQuality(profile) => DataQualityFig::round_trip(
                 &self.out.dataset,
                 *profile,
@@ -346,7 +345,7 @@ impl Service {
         match r {
             RelQuery::Summary => {
                 sc_core::reliability::reliability_size_fig(&self.trace, &self.sim_config, &model)
-                    .render()
+                    .map_or_else(|e| format!("ERROR rel:{}: {e}\n", r.name()), |fig| fig.render())
             }
             RelQuery::Frontier => sc_core::reliability::goodput_frontier(
                 &self.trace,

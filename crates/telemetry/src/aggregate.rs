@@ -81,11 +81,6 @@ impl Aggregate {
         }
         a
     }
-
-    /// Whether any samples have been folded in.
-    pub fn has_samples(&self) -> bool {
-        self.count > 0
-    }
 }
 
 /// Min/mean/max aggregates for every GPU metric of one GPU over one job.
@@ -214,13 +209,12 @@ mod tests {
         assert_eq!(a.max, 3.0);
         assert!((a.mean - 2.0).abs() < 1e-12);
         assert_eq!(a.count, 3);
-        assert!(a.has_samples());
     }
 
     #[test]
     fn empty_aggregate_sentinels() {
         let a = Aggregate::new();
-        assert!(!a.has_samples());
+        assert_eq!(a.count, 0);
         assert!(a.min.is_infinite() && a.min > 0.0);
         assert!(a.max.is_infinite() && a.max < 0.0);
     }

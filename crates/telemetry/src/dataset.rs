@@ -98,15 +98,6 @@ impl Dataset {
         self.records.iter().filter(|r| !r.sched.is_gpu_job())
     }
 
-    /// Groups GPU jobs by user, preserving record references.
-    pub fn gpu_jobs_by_user(&self) -> HashMap<UserId, Vec<&JobRecord>> {
-        let mut map: HashMap<UserId, Vec<&JobRecord>> = HashMap::new();
-        for r in self.gpu_jobs() {
-            map.entry(r.sched.user).or_default().push(r);
-        }
-        map
-    }
-
     /// Serializes the dataset to JSON — the anonymized release format
     /// (the paper published its dataset at dcc.mit.edu; this is the
     /// equivalent artifact for the synthetic reproduction).
@@ -242,16 +233,6 @@ mod tests {
         assert_eq!(ds.funnel().gpu_jobs, 1);
         // Record retained but without GPU data, so GPU analyses skip it.
         assert_eq!(ds.gpu_jobs().count(), 0);
-    }
-
-    #[test]
-    fn by_user_grouping() {
-        let sched_recs = vec![sched(1, 7, 1, 100.0), sched(2, 7, 1, 100.0), sched(3, 8, 1, 100.0)];
-        let gpu_recs = vec![gpu_rec(1, 1), gpu_rec(2, 1), gpu_rec(3, 1)];
-        let ds = Dataset::join(sched_recs, gpu_recs);
-        let by_user = ds.gpu_jobs_by_user();
-        assert_eq!(by_user[&UserId(7)].len(), 2);
-        assert_eq!(by_user[&UserId(8)].len(), 1);
     }
 
     #[test]

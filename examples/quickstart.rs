@@ -44,6 +44,6 @@ fn main() {
     );
 
     // And the full figure pipeline, if you want everything at once:
-    let report = AnalysisReport::from_sim(&out);
-    println!("\n{}", report.fig15.render());
+    let report = AnalysisReport::try_from_sim_logged(&out, &StageLog::new()).expect("pipeline");
+    println!("\n{}", report.dataset.fig15.render());
 }

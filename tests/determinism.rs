@@ -25,8 +25,10 @@ fn identical_seeds_reproduce_bit_for_bit() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.detailed, b.detailed);
     // Rendered figures are textually identical.
-    let fa = AnalysisReport::from_sim(&a).render_text();
-    let fb = AnalysisReport::from_sim(&b).render_text();
+    let fa =
+        AnalysisReport::try_from_sim_logged(&a, &StageLog::new()).expect("pipeline").render_text();
+    let fb =
+        AnalysisReport::try_from_sim_logged(&b, &StageLog::new()).expect("pipeline").render_text();
     assert_eq!(fa, fb);
 }
 
@@ -77,12 +79,14 @@ fn thread_budget_never_changes_output() {
     sc_repro::par::set_max_threads(1);
     let (_, a) = run(5);
     let json_a = a.dataset.to_json().expect("serializable");
-    let text_a = AnalysisReport::from_sim(&a).render_text();
+    let text_a =
+        AnalysisReport::try_from_sim_logged(&a, &StageLog::new()).expect("pipeline").render_text();
 
     sc_repro::par::set_max_threads(alt_thread_budget());
     let (_, b) = run(5);
     let json_b = b.dataset.to_json().expect("serializable");
-    let text_b = AnalysisReport::from_sim(&b).render_text();
+    let text_b =
+        AnalysisReport::try_from_sim_logged(&b, &StageLog::new()).expect("pipeline").render_text();
 
     sc_repro::par::set_max_threads(saved);
 
@@ -96,8 +100,8 @@ fn thread_budget_never_changes_output() {
         "streaming summary must not depend on the thread budget"
     );
     assert_eq!(
-        sc_repro::core::StreamingTelemetryFig::compute(&a).render(),
-        sc_repro::core::StreamingTelemetryFig::compute(&b).render(),
+        sc_repro::core::StreamingTelemetryFig::try_compute(&a).expect("streaming").render(),
+        sc_repro::core::StreamingTelemetryFig::try_compute(&b).expect("streaming").render(),
         "streaming cross-validation must not depend on the thread budget"
     );
 }
@@ -146,7 +150,7 @@ fn streamed_detail_stats_equal_batch_recomputation() {
         );
     }
 
-    let fig = sc_repro::core::StreamingTelemetryFig::compute(&out);
+    let fig = sc_repro::core::StreamingTelemetryFig::try_compute(&out).expect("streaming");
     assert!(fig.passes(), "streamed aggregates must honour their error bounds:\n{}", fig.render());
 }
 
@@ -255,7 +259,7 @@ fn policy_runs_are_deterministic_across_thread_budgets() {
                     SimConfig { detailed_series_jobs: 0, ..Default::default() },
                     s,
                 );
-                let r = exp.run(&trace, &Obs::off());
+                let r = exp.run(&trace, &Obs::off()).expect("non-empty trace");
                 (r.policy.dataset.to_json().expect("serializable"), r.fig.render())
             })
             .collect()
@@ -529,7 +533,7 @@ fn coshare_predicted_policy_is_deterministic_across_thread_budgets() {
             SimConfig { detailed_series_jobs: 0, ..Default::default() },
             PolicySpec::CosharePredicted,
         );
-        let r = exp.run(&trace, &Obs::off());
+        let r = exp.run(&trace, &Obs::off()).expect("non-empty trace");
         let oracle = r.oracle.as_ref().expect("predicted arm always runs its oracle twin");
         let oracle_fig = r.oracle_fig.as_ref().expect("oracle delta figure");
         let eval = r.classifier_eval.as_ref().expect("predicted arm trains a classifier");
@@ -578,7 +582,7 @@ fn reliability_study(seed: u64) -> ReliabilityReport {
         growth_factors: vec![2.0],
         write_secs: 30.0,
     };
-    run_reliability_study(&trace, &base, &model, &cfg)
+    run_reliability_study(&trace, &base, &model, &cfg).expect("non-empty trace")
 }
 
 /// Golden-reliability regression: the rendered reliability report —
@@ -653,8 +657,8 @@ fn failure_injection_is_deterministic_across_thread_budgets() {
         "Dataset JSON must not depend on the thread budget"
     );
     assert_eq!(
-        AnalysisReport::from_sim(&a).render_text(),
-        AnalysisReport::from_sim(&b).render_text(),
+        AnalysisReport::try_from_sim_logged(&a, &StageLog::new()).expect("pipeline").render_text(),
+        AnalysisReport::try_from_sim_logged(&b, &StageLog::new()).expect("pipeline").render_text(),
         "figure text must not depend on the thread budget"
     );
     assert_eq!(

@@ -2,7 +2,8 @@
 //! scenario through its canonical serialization, rejects malformed
 //! input with typed line/field diagnostics (never a panic), and the
 //! `supercloud` preset drives the pipeline byte-identically to the
-//! flag defaults at any thread budget.
+//! flag defaults at any thread budget, and every valid scenario runs
+//! through the simulator and the figure pipeline without a panic.
 //!
 //! The property tests build scenarios *structurally* (the vendored
 //! proptest has no string strategies) and sweep the numeric knobs and
@@ -43,6 +44,44 @@ fn arrivals_from(idx: usize, period_days: f64, frac: f64, amplitude: f64) -> Arr
     }
 }
 
+/// A scenario from swept knobs, each inside its validated range: the
+/// generator both properties below share.
+fn generated(
+    seed: u64,
+    scale: f64,
+    arrivals: (usize, f64, f64, f64),
+    registries: (usize, usize, usize, usize),
+    overrides: (u64, u64, f64, f64),
+) -> Scenario {
+    let (arr_idx, period, frac, amp) = arrivals;
+    let (fail_idx, dq_idx, policy_idx, wl_idx) = registries;
+    let (users, total_jobs, gpu_frac, diurnal_amp) = overrides;
+    let mut sc = Scenario {
+        name: "generated".to_string(),
+        description: "property-generated scenario".to_string(),
+        seed,
+        scale,
+        arrivals: arrivals_from(arr_idx, period, frac, amp),
+        data_quality: DQ_PROFILES[dq_idx].to_string(),
+        policy: POLICIES[policy_idx].to_string(),
+        ..Scenario::default()
+    };
+    sc.failures.profile = FAILURE_PROFILES[fail_idx].to_string();
+    if fail_idx != 0 {
+        // mtbf_factor is only legal alongside an active profile.
+        sc.failures.mtbf_factor = Some(frac * 2.0);
+    }
+    sc.workload.preset = WORKLOAD_PRESETS[wl_idx].to_string();
+    sc.workload.users = Some(users as usize);
+    sc.workload.total_jobs = Some(total_jobs as usize);
+    sc.workload.gpu_job_fraction = Some(gpu_frac);
+    sc.workload.diurnal_amplitude = Some(diurnal_amp);
+    // At least 16 two-GPU nodes: both workload presets ask for up to
+    // 32 GPUs, and a narrower cluster fails validation.
+    sc.cluster.nodes = Some((users % 1_000 + 16) as u32);
+    sc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -56,32 +95,7 @@ proptest! {
         registries in (0usize..4, 0usize..4, 0usize..4, 0usize..2),
         overrides in (1u64..2_000, 1u64..200_000, 0.0f64..1.0, 0.0f64..0.99),
     ) {
-        let (arr_idx, period, frac, amp) = arrivals;
-        let (fail_idx, dq_idx, policy_idx, wl_idx) = registries;
-        let (users, total_jobs, gpu_frac, diurnal_amp) = overrides;
-        let mut sc = Scenario {
-            name: "generated".to_string(),
-            description: "property-generated scenario".to_string(),
-            seed,
-            scale: scale_milli as f64 / 1_000.0,
-            arrivals: arrivals_from(arr_idx, period, frac, amp),
-            data_quality: DQ_PROFILES[dq_idx].to_string(),
-            policy: POLICIES[policy_idx].to_string(),
-            ..Scenario::default()
-        };
-        sc.failures.profile = FAILURE_PROFILES[fail_idx].to_string();
-        if fail_idx != 0 {
-            // mtbf_factor is only legal alongside an active profile.
-            sc.failures.mtbf_factor = Some(frac * 2.0);
-        }
-        sc.workload.preset = WORKLOAD_PRESETS[wl_idx].to_string();
-        sc.workload.users = Some(users as usize);
-        sc.workload.total_jobs = Some(total_jobs as usize);
-        sc.workload.gpu_job_fraction = Some(gpu_frac);
-        sc.workload.diurnal_amplitude = Some(diurnal_amp);
-        // At least 16 two-GPU nodes: both workload presets ask for up to
-        // 32 GPUs, and a narrower cluster fails validation.
-        sc.cluster.nodes = Some((users % 1_000 + 16) as u32);
+        let sc = generated(seed, scale_milli as f64 / 1_000.0, arrivals, registries, overrides);
         let toml = sc.to_toml();
         let back = Scenario::parse(&toml)
             .unwrap_or_else(|e| panic!("canonical form must reparse: {e}\n{toml}"));
@@ -129,6 +143,34 @@ proptest! {
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
         match Scenario::parse(&mutated) {
             Ok(_) => {}
+            Err(e) => prop_assert!(!e.to_string().is_empty(), "empty diagnostic"),
+        }
+    }
+}
+
+proptest! {
+    // Each case simulates a whole (small) world: ~0.1-0.15 s at scale
+    // 0.01, so few cases keep the suite fast.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every valid scenario runs to completion: the simulation and the
+    /// figure pipeline end in a report or a typed `PipelineError` (a
+    /// population too small for some figure), never a panic.
+    #[test]
+    fn any_valid_scenario_runs_to_a_report_or_a_typed_error(
+        seed in 0u64..1_000_000,
+        scale_milli in 1u64..11,
+        arrivals in (0usize..4, 0.5f64..60.0, 0.05f64..0.95, 0.0f64..8.0),
+        registries in (0usize..4, 0usize..4, 0usize..4, 0usize..2),
+        overrides in (1u64..2_000, 1u64..200_000, 0.0f64..1.0, 0.0f64..0.99),
+    ) {
+        let sc = generated(seed, scale_milli as f64 / 1_000.0, arrivals, registries, overrides);
+        let sc = Scenario::parse(&sc.to_toml())
+            .unwrap_or_else(|e| panic!("generated scenario must validate: {e}"));
+        let trace = Trace::generate(&sc.scaled_spec(sc.scale), sc.seed);
+        let out = Simulation::new(sc.sim_config(sc.scale, sc.seed)).run(&trace);
+        match AnalysisReport::try_from_sim_logged(&out, &StageLog::new()) {
+            Ok(report) => prop_assert!(report.render_text().contains("Fig. 17")),
             Err(e) => prop_assert!(!e.to_string().is_empty(), "empty diagnostic"),
         }
     }
@@ -219,7 +261,9 @@ fn run_flag_default(scale: f64, seed: u64) -> (String, String) {
     let out = Simulation::new(SimConfig { detailed_series_jobs: detailed, ..Default::default() })
         .run(&trace);
     let json = out.dataset.to_json().expect("serializable");
-    let text = AnalysisReport::from_sim(&out).render_text();
+    let text = AnalysisReport::try_from_sim_logged(&out, &StageLog::new())
+        .expect("pipeline")
+        .render_text();
     (json, text)
 }
 
@@ -231,7 +275,9 @@ fn run_scenario_file(scale: f64) -> (String, String) {
     let trace = Trace::generate(&spec, sc.seed);
     let out = Simulation::new(sc.sim_config(scale, sc.seed)).run(&trace);
     let json = out.dataset.to_json().expect("serializable");
-    let text = AnalysisReport::from_sim(&out).render_text();
+    let text = AnalysisReport::try_from_sim_logged(&out, &StageLog::new())
+        .expect("pipeline")
+        .render_text();
     (json, text)
 }
 
